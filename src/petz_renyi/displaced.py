@@ -1,26 +1,19 @@
 """Petz-Renyi relative entropy of displaced thermal states.
 
-The trace argument is a double Fock series per mode,
+The trace argument factorizes over modes, and each mode's factor
 
-    ``S = sum_{k,l} lam(k,r)^alpha lam(l,s)^{1-alpha} |<W(u) k | l>|^2``
+    ``tr(rho_j^alpha sigma_j^{1-alpha})
+        = sum_{k,l} lam(k,r)^alpha lam(l,s)^{1-alpha} |<l|W(u) k>|^2``
 
-with ``u`` the relative displacement.  Finiteness for ``alpha > 1`` is decided
-analytically by the same mode-wise threshold as in the undisplaced case (it
-does not depend on the displacements); the evaluator never tries to discover
-divergence numerically.
-
-Tail control rests on an exact identity for the inner sum: conjugating
-``e^{beta N}`` (N the number operator) by the displacement operator and
-normal-ordering gives
-
-    ``sum_l e^{beta l} |<l|W(u)|k>|^2
-        = e^{x (e^beta - 1)} e^{beta k} L_k(-y)``,   ``y = 2 x (cosh beta - 1)``
-
-with ``x = |u|^2``.  This yields (a) an exact target for each row of the
-double series, so the neglected column mass is measured by subtraction, and
-(b) together with ``L_k(-y) <= exp(2 sqrt(y k))`` a rigorous geometric bound
-on the neglected rows, with decay rate set by the threshold exponent
-``alpha r + (1-alpha) s > 0``.
+(``u`` the relative displacement) is a Gaussian trace with an elementary
+closed form: the diagonal-covariance case of the Petz-Renyi formula of
+Seshadreesan, Lami & Wilde, "Renyi relative entropies of quantum Gaussian
+states", J. Math. Phys. 59, 072204 (2018), arXiv:1706.09885.  It depends on
+the displacement only through ``x = |u|^2``; see ``thermal._mode_log_trace``.
+Finiteness for ``alpha > 1`` is decided analytically, never by probing a
+sum: support containment (a vacuum mode of sigma must hold the same coherent
+state in rho) and the mode-wise threshold of the undisplaced case, which does
+not depend on the displacements.
 """
 
 from __future__ import annotations
@@ -30,23 +23,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .states import ModeVector, log1mexp
+from .states import ModeVector
 from .thermal import (
     DivergenceWitness,
     ExtendedEntropy,
     ThresholdResult,
+    _d_alpha,
     alpha_threshold,
     covariance_criterion,
     validate_order,
 )
-from .weyl import (
-    _assoc_laguerre_log_table,
-    _laguerre_neg_log,
-    fejer_scan,
-    weyl_diag_sequence,
-)
+from .weyl import fejer_scan, weyl_diag_sequence
 
 __all__ = [
     "DisplacedThermalSpec",
@@ -92,7 +80,11 @@ class DisplacedThermalSpec:
 
 @dataclass(frozen=True)
 class SeriesEstimate:
-    """Truncated-series outcome: log of the partial sum plus a relative tail bound."""
+    """Log of the trace argument, in the shape of a truncated-series outcome.
+
+    The closed form is exact: ``tail_bound`` is 0, ``terms_used`` 0 and
+    ``converged`` true.  ``log_sum = (alpha-1) D`` (``inf`` on divergence).
+    """
 
     log_sum: float
     tail_bound: float
@@ -120,8 +112,8 @@ def relative_displacement(
 def _require_faithful(rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec) -> None:
     if not (rho.faithful and sigma.faithful):
         raise ValueError(
-            "alpha > 1 with vacuum modes is outside the displaced-state theory; "
-            "for undisplaced states use the thermal support/threshold logic"
+            "the threshold and covariance tests above order one need faithful "
+            "states; d_alpha_displaced decides vacuum modes exactly"
         )
 
 
@@ -192,9 +184,12 @@ def diagonal_divergence_witness(
         sample = tuple(2**i for i in range(sample_size))
     else:
         # squared-amplitude form: |<k|W(u)|k>|^2 >= C^2 / k^{3/4} on the scan
-        # indices; keep those whose series term has already reached 1, which
-        # is all but a short burn-in when the exponent is negative
-        hits = fejer_scan(uj, scan_max, exponent=0.375)
+        # indices, with C half the Fejer amplitude of the damped element
+        # e^{-|u|^2/2} L_k(|u|^2) at the sine floor; keep those whose series
+        # term has already reached 1, which is all but a short burn-in when
+        # the exponent is negative
+        c = 1.0 / (2.0 * math.sqrt(2.0 * math.pi * abs(uj)))
+        hits = fejer_scan(uj, scan_max, c, exponent=0.375)
         diag = np.abs(weyl_diag_sequence(scan_max, uj))
         with np.errstate(divide="ignore"):
             evident = [
@@ -213,169 +208,18 @@ def diagonal_divergence_witness(
     )
 
 
-@dataclass(frozen=True)
-class _ModeSeries:
-    log_sum: float
-    tail_rel: float
-    terms: int
-    converged: bool
-
-
-def _mode_series_closed(r: float, s: float, alpha: float) -> float:
-    """Exact log of the per-mode sum when the relative displacement vanishes."""
-    log_q = 0.0
-    if not math.isinf(r):
-        log_q += alpha * log1mexp(r)
-    if not math.isinf(s):
-        log_q += (1.0 - alpha) * log1mexp(s)
-    if not math.isinf(r) and not math.isinf(s):
-        log_q -= log1mexp(alpha * r + (1.0 - alpha) * s)
-    return log_q
-
-
-def _mode_series(
-    r: float, s: float, x: float, alpha: float, tol: float, cap: int
-) -> _ModeSeries:
-    """Evaluate one mode's double series in the log domain.
-
-    ``x`` is the squared magnitude of the relative displacement on this mode.
-    The caller guarantees ``alpha r + (1-alpha) s > 0`` whenever it matters
-    (always true for orders below 1).
-    """
-    if x == 0.0:
-        return _ModeSeries(_mode_series_closed(r, s, alpha), 0.0, 1, True)
-    if math.isinf(r) and math.isinf(s):
-        return _ModeSeries(-x, 0.0, 1, True)
-    if math.isinf(r):
-        # only the k=0 row survives; its column sum is the exact identity value
-        beta = (alpha - 1.0) * s
-        log_sum = (1.0 - alpha) * log1mexp(s) + x * math.expm1(beta)
-        return _ModeSeries(log_sum, 0.0, 1, True)
-    if math.isinf(s):
-        # only the l=0 column survives; Poisson overlap sums in closed form
-        log_sum = alpha * log1mexp(r) - x + x * math.exp(-alpha * r)
-        return _ModeSeries(log_sum, 0.0, 1, True)
-
-    beta = (alpha - 1.0) * s
-    t = alpha * r + (1.0 - alpha) * s
-    if not (t > 0.0):
-        raise ValueError(f"nonpositive series exponent {t}; divergent input")
-    log_cr = alpha * log1mexp(r)
-    log_cs = (1.0 - alpha) * log1mexp(s)
-    y = 2.0 * x * (math.cosh(beta) - 1.0)
-    g_const = x * math.expm1(beta)  # = x (sinh beta + cosh beta - 1)
-
-    # Rows needed so the neglected-row mass is below tol/4 relative to the
-    # first term (a fortiori relative to the sum):  a_k g(k) <= prefix *
-    # exp(-t k + 2 sqrt(y k)) and 2 sqrt(y k) <= 2 y / t + t k / 2.
-    log_tolk = math.log(tol / 4.0)
-    kmax = int(math.ceil((2.0 / t) * (2.0 * y / t - log1mexp(t / 2.0) - log_tolk)))
-    kmax = max(kmax, 8)
-
-    def k_tail_log(K: int) -> float:
-        return (
-            log_cr
-            + log_cs
-            + g_const
-            + 2.0 * y / t
-            - t * (K + 1) / 2.0
-            - log1mexp(t / 2.0)
-        )
-
-    # column budget: start past the classically allowed band and grow until
-    # the measured column tail is small enough
-    lmax = kmax + int(math.ceil(4.0 * math.sqrt(y * kmax + x * kmax) + 8 * (1 + x)))
-    while (kmax + 1) * (lmax + 1) > cap and kmax > 8:
-        kmax = max(8, int(0.8 * kmax))
-        lmax = max(kmax, int(cap / (kmax + 1)) - 1)
-    capped = False
-
-    log_lneg = _laguerre_neg_log(kmax, y)
-    k_arr = np.arange(kmax + 1, dtype=float)
-    log_a = log_cr - alpha * r * k_arr
-    log_g = log_cs + g_const + beta * k_arr + log_lneg
-    log_ag = float(logsumexp(log_a + log_g))  # exact total over all columns, rows <= kmax
-
-    while True:
-        l_arr = np.arange(lmax + 1, dtype=float)
-        log_b = log_cs + beta * l_arr
-        table = _assoc_laguerre_log_table(kmax, lmax, x)
-        kk = np.arange(kmax + 1)
-        ll = np.arange(lmax + 1)
-        n = np.minimum.outer(kk, ll)
-        big = np.maximum.outer(kk, ll)
-        m = big - n
-        gl = gammaln(np.arange(max(kmax, lmax) + 2) + 1.0)
-        logw = -0.5 * x + 0.5 * (gl[n] - gl[big]) + m * (0.5 * math.log(x)) + table[n, m]
-        log_terms = log_a[:, None] + log_b[None, :] + 2.0 * logw
-        log_s = float(logsumexp(log_terms))
-        # column tail by subtraction from the exact row totals (clamped at
-        # the roundoff floor of the two accumulations)
-        col_tail = max(math.expm1(max(log_ag - log_s, 0.0)), 0.0)
-        col_tail = max(col_tail, 4e-15)
-        row_tail = math.exp(k_tail_log(kmax) - log_s)
-        terms = (kmax + 1) * (lmax + 1)
-        if col_tail + row_tail <= tol or capped:
-            return _ModeSeries(log_s, col_tail + row_tail, terms, col_tail + row_tail <= tol)
-        new_lmax = int(1.6 * lmax) + 8
-        if (kmax + 1) * (new_lmax + 1) > cap:
-            new_lmax = max(lmax, int(cap / (kmax + 1)) - 1)
-            capped = True
-            if new_lmax == lmax:
-                return _ModeSeries(log_s, col_tail + row_tail, terms, False)
-        lmax = new_lmax
-
-
 def d_alpha_displaced(
-    rho: DisplacedThermalSpec,
-    sigma: DisplacedThermalSpec,
-    alpha: float,
-    tol: float = 1e-10,
-    cap: int = 10**6,
+    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float
 ) -> DisplacedEntropyResult:
     """Petz-Renyi relative entropy between two displaced thermal states.
 
-    The n-mode double series factorizes exactly over modes, so each mode is
-    summed independently (to tolerance ``tol / n`` so the products compose)
-    and the log-domain results add.  For ``alpha > 1`` the analytic threshold
-    is consulted first and a divergent verdict is returned without touching
-    the series.  ``cap`` bounds the number of retained terms per mode; running
-    into it yields ``converged=False`` rather than an error.
+    Each mode contributes its exact closed-form log trace argument.  For
+    ``alpha > 1`` the value is ``inf`` with a support witness when a vacuum
+    mode of sigma is not the same coherent state in rho, and with a threshold
+    witness when ``alpha >= alpha*``.  Raises ``ValueError`` when the value is
+    finite but its log trace argument or ``D`` lies beyond double range.
     """
-    alpha = validate_order(alpha)
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if cap < 100:
-        raise ValueError(f"term cap unreasonably small: {cap}")
     u = relative_displacement(rho, sigma)
-    r, s = rho.temps, sigma.temps
-    if alpha > 1.0:
-        finite, thr = predict_finiteness(rho, sigma, alpha)
-        if not finite:
-            j = thr.argmin_modes[0]
-            w = DivergenceWitness(
-                kind="threshold",
-                mode=j,
-                detail=(
-                    f"alpha = {alpha} >= alpha* = {thr.alpha_star} "
-                    f"= s_{j}/(s_{j}-r_{j})"
-                ),
-            )
-            return DisplacedEntropyResult(
-                ExtendedEntropy(math.inf, w), SeriesEstimate(math.inf, 0.0, 0, True)
-            )
-    n = len(r)
-    log_sum = 0.0
-    tail = 0.0
-    terms = 0
-    converged = True
-    for rj, sj, uj in zip(r, s, u):
-        res = _mode_series(rj, sj, abs(uj) ** 2, alpha, tol / n, cap)
-        log_sum += res.log_sum
-        tail += res.tail_rel
-        terms += res.terms
-        converged = converged and res.converged
-    series = SeriesEstimate(log_sum, tail, terms, converged)
-    return DisplacedEntropyResult(
-        ExtendedEntropy(log_sum / (alpha - 1.0)), series
-    )
+    ent = _d_alpha(rho.temps, sigma.temps, [abs(z) * abs(z) for z in u], alpha)
+    log_q = (alpha - 1.0) * ent.value
+    return DisplacedEntropyResult(ent, SeriesEstimate(log_q, 0.0, 0, True))

@@ -1,10 +1,12 @@
-"""Closed-form Petz-Renyi relative entropy for undisplaced thermal states.
+"""Closed-form Petz-Renyi relative entropy of (displaced) thermal states.
 
-For thermal states the entropy series is a product of geometric series, one
-per mode, so the value collapses to elementary logarithms.  Finiteness for
-``alpha > 1`` is decided analytically from the mode-wise threshold
-``alpha* = min s_j / (s_j - r_j)`` over modes where ``r_j < s_j``; the series
-is never probed numerically to detect divergence.
+Per mode the trace argument ``tr(rho^alpha sigma^{1-alpha})`` is an
+elementary Gaussian closed form that depends on the displacements only
+through ``|u_j|^2``, the squared relative displacement; undisplaced thermal
+states are the case ``u = 0``.  Finiteness for ``alpha > 1`` is decided
+analytically from support containment and the mode-wise threshold
+``alpha* = min s_j / (s_j - r_j)`` over modes where ``r_j < s_j``; nothing is
+probed numerically to detect divergence.
 """
 
 from __future__ import annotations
@@ -135,6 +137,105 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
     return ThresholdResult(best, tuple(argmin))
 
 
+# log of the largest double: a trace argument beyond it is finite but unrepresentable
+_LOG_MAX = math.log(1.7976931348623157e308)
+
+
+def _log_expm1(x: float) -> float:
+    """``log(e^x - 1)`` for ``x > 0`` without overflow."""
+    return x + log1mexp(x)
+
+
+def _mode_log_trace(r: float, s: float, x: float, alpha: float) -> float:
+    """``log tr(rho_j^alpha sigma_j^{1-alpha})`` for one mode.
+
+    ``x = |u|^2`` is the squared relative displacement.  With ``a = alpha r``,
+    ``b = (1-alpha) s`` and ``t = a + b``,
+
+    ``alpha log(1-e^-r) + (1-alpha) log(1-e^-s) - log(1-e^-t)
+      - x (1-e^-a)(1-e^-b) / (1-e^-t)``,
+
+    with vacuum modes (``r`` or ``s`` infinite) taken term by term.  Above
+    order one ``1 - e^-b < 0`` and the displacement term is formed in the log
+    domain.  The caller has excluded divergent modes; ``inf`` means the value
+    is finite but beyond double range.
+    """
+    if math.isinf(r) and math.isinf(s):
+        return -x  # overlap of two coherent states
+    a = alpha * r
+    b = (1.0 - alpha) * s
+    t = a + b
+    if not (t > 0.0):
+        # alpha < alpha* by less than t resolves in double precision (happens
+        # at the last ulp below alpha*): -log(1-e^-t) is then out of reach
+        return math.inf
+    log_q = alpha * log1mexp(r) + (1.0 - alpha) * log1mexp(s) - log1mexp(t)
+    if x == 0.0:
+        return log_q
+    if alpha < 1.0:
+        # each ratio lies in [0, 1]: (1-e^-a)(1-e^-b) <= 1-e^-t
+        return log_q - x * (math.expm1(-a) / math.expm1(-t)) * -math.expm1(-b)
+    log_d = math.log(x) + log1mexp(a) + _log_expm1(-b) - log1mexp(t)
+    return math.inf if log_d > _LOG_MAX else log_q + math.exp(log_d)
+
+
+def _divergence_witness(
+    r: ModeVector, s: ModeVector, x: Sequence[float], alpha: float
+) -> Optional[DivergenceWitness]:
+    """Why ``D_alpha`` diverges for ``alpha > 1``, or ``None`` when it is finite."""
+    bad = _violating_modes(r, s)
+    if bad:
+        return DivergenceWitness(
+            kind="support",
+            mode=bad[0],
+            detail=f"modes {bad} are finite in rho but vacuum in sigma",
+        )
+    moved = tuple(
+        j + 1
+        for j, (rj, sj, xj) in enumerate(zip(r, s, x))
+        if math.isinf(rj) and math.isinf(sj) and xj != 0.0
+    )
+    if moved:
+        return DivergenceWitness(
+            kind="support",
+            mode=moved[0],
+            detail=f"modes {moved} are distinct coherent states in rho and sigma",
+        )
+    thr = alpha_threshold(r, s)
+    if alpha < thr.alpha_star:
+        return None
+    j = thr.argmin_modes[0]
+    return DivergenceWitness(
+        kind="threshold",
+        mode=j,
+        detail=f"alpha = {alpha} >= alpha* = {thr.alpha_star} = s_{j}/(s_{j}-r_{j})",
+    )
+
+
+def _d_alpha(
+    r: ModeVector, s: ModeVector, x: Sequence[float], alpha: float
+) -> ExtendedEntropy:
+    """``D_alpha`` of displaced thermal states from temperatures and ``x_j = |u_j|^2``.
+
+    Raises ``ValueError`` when the value is finite but ``log q`` or ``D`` lies
+    beyond double range.
+    """
+    alpha = validate_order(alpha)
+    _check_lengths(r, s)
+    if alpha > 1.0:
+        w = _divergence_witness(r, s, x, alpha)
+        if w is not None:
+            return ExtendedEntropy(math.inf, w)
+    log_q = sum(_mode_log_trace(rj, sj, xj, alpha) for rj, sj, xj in zip(r, s, x))
+    value = log_q / (alpha - 1.0)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"D_alpha at alpha = {alpha} is finite but beyond double range "
+            f"(log trace argument {log_q})"
+        )
+    return ExtendedEntropy(value)
+
+
 def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntropy:
     """Petz-Renyi relative entropy between two thermal states.
 
@@ -150,39 +251,9 @@ def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntro
     geometric series vanishes there).  For ``alpha`` in (0,1) the value is
     always finite; when support containment fails the sum simply loses the
     vanishing terms, which restricts the cross term to modes finite in both.
+    Raises ``ValueError`` when a finite value lies beyond double range.
     """
-    alpha = validate_order(alpha)
-    _check_lengths(r, s)
-    if alpha > 1.0:
-        bad = _violating_modes(r, s)
-        if bad:
-            w = DivergenceWitness(
-                kind="support",
-                mode=bad[0],
-                detail=f"modes {bad} are finite in rho but vacuum in sigma",
-            )
-            return ExtendedEntropy(math.inf, w)
-        thr = alpha_threshold(r, s)
-        if alpha >= thr.alpha_star:
-            j = thr.argmin_modes[0]
-            w = DivergenceWitness(
-                kind="threshold",
-                mode=j,
-                detail=(
-                    f"alpha = {alpha} >= alpha* = {thr.alpha_star} "
-                    f"= s_{j}/(s_{j}-r_{j})"
-                ),
-            )
-            return ExtendedEntropy(math.inf, w)
-    log_q = 0.0
-    for rj, sj in zip(r, s):
-        if not math.isinf(rj):
-            log_q += alpha * log1mexp(rj)
-        if not math.isinf(sj):
-            log_q += (1.0 - alpha) * log1mexp(sj)
-        if not math.isinf(rj) and not math.isinf(sj):
-            log_q -= log1mexp(alpha * rj + (1.0 - alpha) * sj)
-    return ExtendedEntropy(log_q / (alpha - 1.0))
+    return _d_alpha(r, s, (0.0,) * len(r), alpha)
 
 
 def covariance_criterion(r: ModeVector, s: ModeVector, alpha: float) -> bool:

@@ -96,59 +96,6 @@ def _laguerre_seq_sign_log(jmax: int, x: float) -> Tuple[np.ndarray, np.ndarray]
     return sign, logabs
 
 
-def _assoc_laguerre_log_table(nmax: int, mmax: int, x: float) -> np.ndarray:
-    """``log |L_n^{(m)}(x)|`` for ``0 <= n <= nmax``, ``0 <= m <= mmax``.
-
-    One vectorized recurrence pass over the degree, columns indexed by the
-    superscript; per-column exponent registers absorb growth past double
-    range.
-    """
-    m = np.arange(mmax + 1, dtype=float)
-    out = np.full((nmax + 1, mmax + 1), -np.inf)
-    out[0] = 0.0
-    if nmax == 0:
-        return out
-    prev = np.ones(mmax + 1)
-    curr = 1.0 + m - x
-    offset = np.zeros(mmax + 1)
-    with np.errstate(divide="ignore"):
-        out[1] = np.log(np.abs(curr))
-    for n in range(1, nmax):
-        nxt = ((2 * n + 1 + m - x) * curr - (n + m) * prev) / (n + 1)
-        prev, curr = curr, nxt
-        a = np.maximum(np.abs(prev), np.abs(curr))
-        big = a > _RESCALE
-        if big.any():
-            sc = np.where(big, a, 1.0)
-            prev = prev / sc
-            curr = curr / sc
-            offset = offset + np.where(big, np.log(sc), 0.0)
-        with np.errstate(divide="ignore"):
-            out[n + 1] = np.where(curr != 0.0, np.log(np.abs(curr)) + offset, -np.inf)
-    return out
-
-
-def _laguerre_neg_log(kmax: int, y: float) -> np.ndarray:
-    """``log L_k(-y)`` for ``k <= kmax`` and ``y >= 0`` (all values positive)."""
-    if y < 0:
-        raise ValueError(f"expected y >= 0, got {y}")
-    out = np.zeros(kmax + 1)
-    if kmax == 0:
-        return out
-    prev, curr = 1.0, 1.0 + y
-    offset = 0.0
-    out[1] = math.log(curr)
-    for k in range(1, kmax):
-        nxt = ((2 * k + 1 + y) * curr - k * prev) / (k + 1)
-        prev, curr = curr, nxt
-        if curr > _RESCALE:
-            prev /= curr
-            offset += math.log(curr)
-            curr = 1.0
-        out[k + 1] = math.log(curr) + offset
-    return out
-
-
 def weyl_diag(j: int, u: complex) -> float:
     """Diagonal matrix element ``<j|W(u)|j> = e^{-|u|^2/2} L_j(|u|^2)`` (real)."""
     x = abs(u) ** 2

@@ -96,8 +96,8 @@ def test_entropy_displaced(states, capsys):
         0.7,
     )
     assert float(rec["value"]) == pytest.approx(ref.entropy.value, rel=1e-12)
-    assert rec["series"]["converged"] is True
-    assert rec["series"]["terms"] > 0
+    # same record shape as the thermal path: the closed form has no series
+    assert set(rec) == {"alpha", "finite", "value"}
 
 
 def test_entropy_rejects_order_one(states, capsys):
@@ -108,13 +108,38 @@ def test_entropy_rejects_order_one(states, capsys):
     assert "error" in err
 
 
-def test_entropy_displaced_vacuum_above_one_rejected(states, tmp_path, capsys):
+def test_entropy_displaced_vacuum_above_one_decided(states, tmp_path, capsys):
     vac_disp = write_state(tmp_path, "vd.json", ["inf"], [[1.0, 0.0]])
-    code, _, err = run(
+    code, out, _ = run(
         capsys, ["entropy", vac_disp, states["sigma_disp"], "--alpha", "1.5"]
     )
+    assert code == 0
+    assert float(json.loads(out)["value"]) == pytest.approx(3.58197711478695, rel=1e-12)
+    code, out, _ = run(
+        capsys, ["entropy", states["rho_disp"], vac_disp, "--alpha", "1.5"]
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["value"] == "inf"
+    assert rec["witness"]["kind"] == "support"
+
+
+def test_entropy_large_finite_value(tmp_path, capsys):
+    # the former double series overflowed here and exited 1 with a traceback
+    rho = write_state(tmp_path, "r.json", [4.9834453035406066], [[0.547426234, 0]])
+    sigma = write_state(tmp_path, "s.json", [2.514274904578052])
+    code, out, _ = run(capsys, ["entropy", rho, sigma, "--alpha", "5.847908385841311"])
+    assert code == 0
+    assert float(json.loads(out)["value"]) == pytest.approx(12153.508146104568, rel=1e-12)
+
+
+def test_entropy_beyond_double_range_exits_two(tmp_path, capsys):
+    rho = write_state(tmp_path, "r.json", [50.0], [[1.0, 0.0]])
+    sigma = write_state(tmp_path, "s.json", [20.0])
+    code, out, err = run(capsys, ["entropy", rho, sigma, "--alpha", "40"])
     assert code == 2
-    assert "vacuum" in err
+    assert out == ""
+    assert "error:" in err and "beyond double range" in err
 
 
 def test_sweep_csv_contract(states, capsys):
@@ -247,3 +272,21 @@ def test_parse_errors_exit_two(states, tmp_path, capsys):
     negative = write_state(tmp_path, "neg.json", [-1.0])
     code, _, _ = run(capsys, ["threshold", negative, states["sigma"]])
     assert code == 2
+    malformed = [
+        {"temps": [None]},
+        {"temps": 5},
+        {"temps": [[1]]},
+        {"temps": [1.0], "displacement": [[None, 0]]},
+        {"temps": [1.0], "displacement": 5},
+    ]
+    for k, doc in enumerate(malformed):
+        path = tmp_path / f"malformed{k}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["threshold", str(path), states["sigma"]])
+        assert code == 2, doc
+        assert "error:" in err
+    case = tmp_path / "case.json"
+    case.write_text("[1]")
+    code, _, err = run(capsys, ["validate", "--case", str(case)])
+    assert code == 2
+    assert "error:" in err

@@ -1,4 +1,4 @@
-"""Displaced-state entropy series, finiteness prediction, and witnesses."""
+"""Displaced-state entropy closed form, finiteness prediction, and witnesses."""
 
 import math
 
@@ -14,9 +14,10 @@ from petz_renyi.displaced import (
     predict_finiteness,
     relative_displacement,
 )
+from petz_renyi.oracle import oracle_trace
 from petz_renyi.states import ModeVector
 from petz_renyi.thermal import d_alpha_thermal
-from petz_renyi.weyl import weyl_diag, weyl_element
+from petz_renyi.weyl import weyl_diag, weyl_diag_sequence, weyl_element
 
 # frozen arbitrary-precision double sums (60-digit evaluation, truncation 220)
 # for r=(1,), s=(2,), u1=(1,), u2=(0,): trace argument sum
@@ -60,20 +61,6 @@ def test_series_matches_frozen_reference():
         assert res.entropy.value == pytest.approx(
             math.log(q) / (alpha - 1.0), rel=1e-12, abs=1e-12
         )
-
-
-def test_tail_bound_is_honest():
-    # the reported relative tail bound covers the actual deficit to the
-    # arbitrary-precision value
-    rho = spec([1.0], [1.0])
-    sigma = spec([2.0], [0.0])
-    for alpha, q in Q_REF.items():
-        for tol in (1e-4, 1e-8):
-            res = d_alpha_displaced(rho, sigma, alpha, tol=tol)
-            got = math.exp(res.series.log_sum)
-            assert res.series.converged
-            assert res.series.tail_bound <= tol
-            assert abs(got - q) / q <= res.series.tail_bound + 1e-12
 
 
 def test_zero_displacement_matches_thermal():
@@ -126,15 +113,20 @@ def test_against_unfactorized_two_mode_sum():
     kmax = 30
     total = 0.0
     lam = lambda k, t: (1 - math.exp(-t)) * math.exp(-k * t)
+    # |<l|W(u_j)|k>|^2 per mode, computed once outside the four-index sum
+    w = [
+        [[abs(weyl_element(l, k, uj)) ** 2 for k in range(kmax)] for l in range(kmax)]
+        for uj in u
+    ]
     for k1 in range(kmax):
         for l1 in range(kmax):
-            w1 = abs(weyl_element(l1, k1, u[0])) ** 2
+            w1 = w[0][l1][k1]
             a1 = lam(k1, rho.temps[0]) ** alpha * lam(l1, sigma.temps[0]) ** (1 - alpha)
             if a1 * w1 == 0.0:
                 continue
             for k2 in range(kmax):
                 for l2 in range(kmax):
-                    w2 = abs(weyl_element(l2, k2, u[1])) ** 2
+                    w2 = w[1][l2][k2]
                     a2 = (
                         lam(k2, rho.temps[1]) ** alpha
                         * lam(l2, sigma.temps[1]) ** (1 - alpha)
@@ -142,17 +134,6 @@ def test_against_unfactorized_two_mode_sum():
                     total += a1 * w1 * a2 * w2
     res = d_alpha_displaced(rho, sigma, alpha)
     assert math.exp(res.series.log_sum) == pytest.approx(total, rel=1e-6)
-
-
-def test_log_sum_nondecreasing_in_cap():
-    rho = spec([0.4], [1.5])
-    sigma = spec([0.5], [0.0])
-    prev = -math.inf
-    for cap in (400, 2000, 20000, 10**6):
-        res = d_alpha_displaced(rho, sigma, 0.6, cap=cap)
-        assert res.series.log_sum >= prev - 1e-13
-        prev = res.series.log_sum
-    assert res.series.converged
 
 
 def test_vacuum_branches_have_exact_closed_forms():
@@ -179,9 +160,42 @@ def test_predicted_divergence_skips_series():
 
 def test_alpha_above_one_requires_faithful():
     with pytest.raises(ValueError):
-        d_alpha_displaced(spec([math.inf], [1.0]), spec([2.0]), 1.5)
-    with pytest.raises(ValueError):
         predict_finiteness(spec([1.0], [1.0]), spec([math.inf]), 1.5)
+
+
+def test_displaced_vacuum_above_one_is_decided():
+    # vacuum rho against a faithful sigma: finite, and the oracle agrees
+    rho, sigma = spec([math.inf], [1.0]), spec([2.0])
+    res = d_alpha_displaced(rho, sigma, 1.5)
+    assert res.entropy.value == pytest.approx(3.58197711478695, rel=1e-12)
+    tr = oracle_trace(rho, sigma, 1.5, 48)
+    assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-6)
+    # vacuum sigma against a finite-temperature rho: support violation
+    res = d_alpha_displaced(spec([1.0], [1.0]), spec([math.inf]), 1.5)
+    assert res.entropy.witness.kind == "support"
+
+
+def test_coherent_states_above_one():
+    for alpha in (1.5, 7.0):
+        res = d_alpha_displaced(spec([math.inf], [1.0]), spec([math.inf], [0.5j]), alpha)
+        assert not res.entropy.finite
+        assert res.entropy.witness.kind == "support"
+        assert res.entropy.witness.mode == 1
+        same = d_alpha_displaced(spec([math.inf], [0.5j]), spec([math.inf], [0.5j]), alpha)
+        assert same.entropy.value == 0.0
+
+
+def test_beyond_double_range_raises():
+    # alpha* = inf here, so the value is finite, but (alpha-1) s = 780 puts
+    # the displacement term near e^780
+    with pytest.raises(ValueError, match="beyond double range"):
+        d_alpha_displaced(spec([50.0], [1.0]), spec([20.0]), 40.0)
+    # one ulp below alpha*, where alpha r + (1-alpha) s rounds to 0
+    r, s = 34.70756505448844, 39.1034927389866
+    alpha = math.nextafter(s / (s - r), 0.0)
+    with pytest.raises(ValueError, match="beyond double range"):
+        d_alpha_thermal(ModeVector([r]), ModeVector([s]), alpha)
+
 
 
 def test_diagonal_witness_examples():
@@ -194,6 +208,19 @@ def test_diagonal_witness_examples():
     for k in w.sample_indices:
         assert math.exp(k) * weyl_diag(k, 1.0) ** 2 >= 1.0
     assert diagonal_divergence_witness(r, s, [1.0], 1.5) is None
+
+
+@pytest.mark.parametrize("u", [3.0, 5 + 5j, 10.0])
+@pytest.mark.parametrize("alpha", [3.0, 5.0])
+def test_diagonal_witness_large_displacement(u, alpha):
+    r, s = ModeVector([1.0]), ModeVector([2.0])  # exponent 1*alpha - 2*(alpha-1) <= -1
+    w = diagonal_divergence_witness(r, s, [u], alpha)
+    assert w.exponent <= -1.0
+    assert w.sample_indices
+    diag = weyl_diag_sequence(max(w.sample_indices), u)
+    for k in w.sample_indices:
+        # log of the series term e^{-expo k} |<k|W(u)|k>|^2 is nonnegative
+        assert -w.exponent * k + 2.0 * math.log(abs(diag[k])) >= 0.0
 
 
 def test_diagonal_witness_zero_displacement_samples():
@@ -242,3 +269,59 @@ def test_identical_displaced_states_give_zero():
     for alpha in (0.5, 2.0):
         res = d_alpha_displaced(rho, rho, alpha)
         assert res.entropy.value == pytest.approx(0.0, abs=1e-10)
+
+
+temps_or_vacuum = st.one_of(st.floats(0.01, 50), st.just(math.inf))
+# displacement components on a 1/8 grid keep every shifted relative
+# displacement exact, so common-shift invariance holds bit for bit
+eighths = st.integers(-28, 28).map(lambda k: k / 8.0)
+orders = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0, 50.0, exclude_min=True, exclude_max=True),
+)
+
+
+def expected_finite(r, s, u, alpha):
+    """Finiteness verdict from support containment and alpha*, written out."""
+    if alpha < 1.0:
+        return True
+    for rj, sj, uj in zip(r, s, u):
+        if math.isinf(sj) and not (math.isinf(rj) and uj == 0):
+            return False
+    ratios = [
+        sj / (sj - rj)
+        for rj, sj in zip(r, s)
+        if not math.isinf(rj) and not math.isinf(sj) and rj < sj
+    ]
+    return alpha < min(ratios, default=math.inf)
+
+
+@given(
+    modes=st.lists(
+        st.tuples(temps_or_vacuum, temps_or_vacuum, eighths, eighths, eighths, eighths),
+        min_size=1,
+        max_size=3,
+    ),
+    shift=st.tuples(eighths, eighths),
+    alpha=orders,
+)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_over_domain(modes, shift, alpha):
+    r = [m[0] for m in modes]
+    s = [m[1] for m in modes]
+    u1 = [complex(m[2], m[3]) for m in modes]
+    u2 = [complex(m[4], m[5]) for m in modes]
+    finite = expected_finite(r, s, [a - b for a, b in zip(u1, u2)], alpha)
+    try:
+        res = d_alpha_displaced(spec(r, u1), spec(s, u2), alpha)
+    except ValueError as e:
+        # the one documented refusal: a finite value beyond double range
+        assert "beyond double range" in str(e)
+        assert finite
+        return
+    assert res.entropy.finite == finite
+    c = complex(*shift)
+    moved = d_alpha_displaced(
+        spec(r, [z + c for z in u1]), spec(s, [z + c for z in u2]), alpha
+    )
+    assert moved.entropy == res.entropy
