@@ -262,22 +262,45 @@ def cmd_validate(args) -> int:
         )
         kind = "thermal" if undisplaced else "displaced"
         cases = [(kind, rho, sigma, [_number(a, "order", args.case) for a in alphas])]
+    # the trace argument must be a normal double for the comparison to mean anything
+    log_lo, log_hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
     results = []
     worst = {"thermal": 0.0, "displaced": 0.0}
+    clamped = 0
     for kind, rho, sigma, alphas in cases:
         for alpha in alphas:
-            oracle = oracle_trace(rho, sigma, alpha, args.dim)
             ent = d_alpha_displaced(rho, sigma, alpha).entropy
-            exact_arg = math.exp((alpha - 1.0) * ent.value)
-            dev = abs(oracle.value - exact_arg) / abs(exact_arg)
+            if not ent.finite:
+                # a support violation makes every order above one infinite
+                star = _threshold_data(rho.temps, sigma.temps)[0]
+                if ent.witness.kind == "support":
+                    star = 1.0
+                raise CliError(
+                    f"D_alpha is infinite at alpha = {_fmt(alpha)} "
+                    f"(alpha* = {_fmt(star)}, {ent.witness.kind} witness): "
+                    "the oracle checks finite values only"
+                )
+            log_q = (alpha - 1.0) * ent.value
+            if not (log_lo <= log_q <= log_hi):
+                raise CliError(
+                    f"trace argument exp({_fmt(log_q)}) at alpha = {_fmt(alpha)} "
+                    "lies beyond double range: the oracle cannot check it"
+                )
+            oracle = oracle_trace(rho, sigma, alpha, args.dim)
+            # |oracle / e^{log q} - 1|, infinite when the oracle is not positive
+            dev = math.inf
+            if 0.0 < oracle.value < math.inf:
+                dev = abs(math.expm1(math.log(oracle.value) - log_q))
             worst[kind] = max(worst[kind], dev)
+            clamped += oracle.clamped
             results.append(
                 {
                     "kind": kind,
                     "alpha": alpha,
-                    "trace_argument": exact_arg,
+                    "trace_argument": math.exp(log_q),
                     "oracle": oracle.value,
                     "rel_deviation": dev,
+                    "clamped": oracle.clamped,
                 }
             )
     ok = (
@@ -290,12 +313,14 @@ def cmd_validate(args) -> int:
             "cases": results,
             "max_rel_dev_thermal": worst["thermal"],
             "max_rel_dev_displaced": worst["displaced"],
+            "clamped": clamped,
             "pass": ok,
         }
     )
     _note(
         f"max deviation thermal {_fmt(worst['thermal'])} "
-        f"displaced {_fmt(worst['displaced'])}: {'PASS' if ok else 'FAIL'}"
+        f"displaced {_fmt(worst['displaced'])}, {clamped} entries clamped: "
+        f"{'PASS' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
 

@@ -1,10 +1,13 @@
 """Brute-force validator on a truncated Fock space.
 
-Everything here is dense linear algebra at desk scale: states and
-displacement operators are built as explicit matrices at per-mode truncation
-``N``, fractional powers go through Hermitian eigendecompositions, and the
-entropy trace argument is evaluated directly.  This path is deliberately
-independent of the closed forms it validates.
+Everything here is linear algebra at desk scale on the space truncated to
+``N`` levels per mode.  Displacement operators are explicit matrices built by
+an eigendecomposition of their Hermitian generator.  The trace argument
+``tr(rho^alpha sigma^{1-alpha})`` is then summed entry by entry over the
+exact thermal spectra, which unitary conjugation leaves unchanged; see
+:func:`oracle_trace`.  This path is deliberately independent of the closed
+forms it validates: it uses no formula for the trace and never factors it
+over modes.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +31,9 @@ __all__ = [
 ]
 
 MAX_TOTAL_DIM = 4096
-EIG_FLOOR = 1e-300
+# entries of one block of the overlap over the full truncated space: bounds
+# the working set of _structured_trace whatever the mode count
+BLOCK_ENTRIES = 1 << 16
 
 
 def _check_dim(n: int) -> None:
@@ -77,20 +83,6 @@ class OracleTrace:
     dim: int
 
 
-def _displaced_density(spec: DisplacedThermalSpec, n: int) -> np.ndarray:
-    mats = []
-    for s, u in zip(spec.temps, spec.displacement):
-        g = thermal_matrix(s, n)
-        if u != 0:
-            w = displacement_matrix(u, n)
-            g = w @ g @ w.conj().T
-        mats.append(g)
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def _spectral_trace(
     rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float, n: int
 ) -> OracleTrace:
@@ -117,19 +109,14 @@ def _spectral_trace(
     return OracleTrace(total, 0, n)
 
 
-def _matrix_power(mat: np.ndarray, p: float, clamp: bool) -> tuple[np.ndarray, int]:
-    w, v = np.linalg.eigh(mat)
-    clamped = 0
-    if clamp:
-        clamped = int(np.count_nonzero(w < EIG_FLOOR))
-        w = np.maximum(w, EIG_FLOOR)
-    else:
-        w = np.maximum(w, 0.0)
-    return (v * w**p) @ v.conj().T, clamped
-
-
-def _thermal_diag(s: float, n: int) -> np.ndarray:
-    return np.real(np.diag(thermal_matrix(s, n)))
+def _spectral_weights(temps, p: float, n: int) -> np.ndarray:
+    """``lam^p`` over the full space, in the log domain where ``lam`` underflows."""
+    k = np.arange(n)
+    logs = [
+        np.where(k == 0, 0.0, -np.inf) if math.isinf(t) else log1mexp(t) - t * k
+        for t in temps
+    ]
+    return np.exp(p * reduce(lambda a, b: np.add.outer(a, b).ravel(), logs))
 
 
 def _element_bound(u: complex, n: int) -> np.ndarray:
@@ -140,26 +127,47 @@ def _element_bound(u: complex, n: int) -> np.ndarray:
     ``|W[l, k]| <= e^{-x/2} sum_j |u|^{l+k-2j} sqrt(l! k!) /
     ((l-j)! (k-j)! j!)``, evaluated in the log domain.  The bound is tight
     up to a modest factor in the far off-diagonal tail, where it is needed
-    to separate true matrix elements from eigh roundoff.
+    to separate true matrix elements from eigh roundoff.  It is symmetric in
+    ``(l, k)``: row ``l`` fills the entries ``k >= l``, whose sums run over
+    ``j <= l``, as one max-shifted log-sum-exp per entry.
     """
     x = abs(u) ** 2
     log_u = 0.5 * math.log(x)
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n)])
     out = np.empty((n, n))
     for el in range(n):
-        for k in range(n):
-            j = np.arange(min(el, k) + 1)
-            t = (
-                (el + k - 2 * j) * log_u
-                + 0.5 * (lg[el] + lg[k])
-                - lg[el - j]
-                - lg[k - j]
-                - lg[j]
-            )
-            top = t.max()
-            log_sum = top + math.log(np.exp(t - top).sum())
-            out[el, k] = math.exp(min(700.0, -0.5 * x + log_sum))
+        k = np.arange(el, n)[:, None]
+        j = np.arange(el + 1)
+        t = (
+            (el + k - 2 * j) * log_u
+            + 0.5 * (lg[el] + lg[k])
+            - lg[el - j]
+            - lg[k - j]
+            - lg[j]
+        )
+        top = t.max(axis=1)
+        log_sum = top + np.log(np.exp(t - top[:, None]).sum(axis=1))
+        out[el, el:] = out[el:, el] = np.exp(np.minimum(700.0, -0.5 * x + log_sum))
     return out
+
+
+def _mode_product(make, u_rho: complex, u_sigma: complex, n: int) -> np.ndarray:
+    """``make(u_sigma)^dag make(u_rho)`` on one mode, taking ``make(0)`` as 1.
+
+    With ``displacement_matrix`` this is the overlap ``M`` of the two
+    eigenbases; with ``_element_bound`` it bounds ``|M|`` entrywise.
+    """
+    if u_sigma == 0:
+        return make(u_rho, n) if u_rho != 0 else np.eye(n)
+    left = make(u_sigma, n).conj().T
+    return left if u_rho == 0 else left @ make(u_rho, n)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of 2-D arrays in one pass, with the same entrywise products."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], -1
+    )
 
 
 def _structured_trace(
@@ -169,38 +177,31 @@ def _structured_trace(
     # states have the exact thermal eigenvalues with eigenbases related by
     # M = W(u_sigma)^dag W(u_rho).  The trace resolves as
     # sum_{k,l} lam_r(k)^alpha lam_s(l)^{1-alpha} |M[l, k]|^2, which keeps
-    # eigenvalues far below eigh resolution exact.  The negative sigma power
-    # amplifies by up to e^{(alpha-1) s (n-1)}, so numeric entries of M that
-    # exceed twice their rigorous a priori bound (meaning roundoff dominates
-    # the true value) are zeroed; the count is reported as ``clamped``.
-    lam_r = np.ones(1)
-    lam_s = np.ones(1)
-    m2 = np.ones((1, 1))
-    b = np.ones((1, 1))
-    for rj, sj, u1, u2 in zip(
-        rho.temps, sigma.temps, rho.displacement, sigma.displacement
-    ):
-        lam_r = np.kron(lam_r, _thermal_diag(rj, n))
-        lam_s = np.kron(lam_s, _thermal_diag(sj, n))
-        if u1 == 0 and u2 == 0:
-            mode_m = np.eye(n, dtype=complex)
-            mode_b = np.eye(n)
-        elif u2 == 0:
-            mode_m = displacement_matrix(u1, n)
-            mode_b = _element_bound(u1, n)
-        elif u1 == 0:
-            mode_m = displacement_matrix(u2, n).conj().T
-            mode_b = _element_bound(u2, n).T
-        else:
-            ws = displacement_matrix(u2, n)
-            mode_m = ws.conj().T @ displacement_matrix(u1, n)
-            mode_b = _element_bound(u2, n).T @ _element_bound(u1, n)
-        m2 = np.kron(m2, np.abs(mode_m) ** 2)
-        b = np.kron(b, mode_b)
-    noisy = m2 > 4.0 * b**2
-    m2 = np.where(noisy, 0.0, m2)
-    terms = (lam_r**alpha)[None, :] * (lam_s ** (1.0 - alpha))[:, None] * m2
-    return OracleTrace(float(terms.sum()), int(np.count_nonzero(noisy)), n)
+    # eigenvalues far below eigh resolution exact.  Above order one the
+    # negative sigma power amplifies by up to e^{(alpha-1) s (n-1)}, so
+    # entries of M that exceed twice their rigorous a priori bound (meaning
+    # roundoff dominates the true value) are zeroed; the count is reported as
+    # ``clamped``.  Below order one every weight is at most 1 and nothing is
+    # clamped.  The Kronecker products over modes are formed one block of
+    # leading-mode rows at a time, with the same products as the full form.
+    clamp = alpha > 1.0
+    pairs = list(zip(rho.displacement, sigma.displacement))
+    m2 = [np.abs(_mode_product(displacement_matrix, *p, n)) ** 2 for p in pairs]
+    bound = [_mode_product(_element_bound, *p, n) for p in pairs] if clamp else []
+    w_rho = _spectral_weights(rho.temps, alpha, n)
+    w_sigma = _spectral_weights(sigma.temps, 1.0 - alpha, n)
+    rest = w_rho.size // n  # full-space rows per row of the leading mode
+    step = max(1, BLOCK_ENTRIES // (rest * w_rho.size))
+    total, clamped = 0.0, 0
+    for lo in range(0, n, step):
+        block = reduce(_kron, [m2[0][lo : lo + step]] + m2[1:])
+        if clamp:
+            b = reduce(_kron, [bound[0][lo : lo + step]] + bound[1:])
+            noisy = block > 4.0 * b**2
+            clamped += int(np.count_nonzero(noisy))
+            block = np.where(noisy, 0.0, block)
+        total += w_sigma[lo * rest : (lo + step) * rest] @ (block @ w_rho)
+    return OracleTrace(float(total), clamped, n)
 
 
 def oracle_trace(
@@ -212,14 +213,12 @@ def oracle_trace(
     """Direct ``tr(rho^alpha sigma^{1-alpha})`` on the truncated space.
 
     Fully undisplaced inputs take the exact diagonal spectral path honoring
-    ``0^{1-alpha} = inf`` and ``0 * inf = 0``.  Displaced inputs below order
-    one are built as conjugated thermal matrices with fractional powers
-    through ``eigh``.  Above order one the negative sigma power amplifies
-    truncation-level roundoff beyond any dense float64 tolerance, so the
-    trace is instead resolved against the exact thermal spectra with the
+    ``0^{1-alpha} = inf`` and ``0 * inf = 0``.  Displaced inputs, at every
+    order, are resolved against the exact thermal spectra with the
     eigh-generated displacement unitaries (see :func:`_structured_trace`);
-    sigma must then be faithful.  ``clamped`` reports the number of
-    noise-suppressed quantities on either path.
+    vacuum modes of sigma drop out below order one (``0^{1-alpha} = 0``),
+    and above order one sigma must be faithful.  ``clamped`` counts the
+    entries zeroed as roundoff, which happens above order one only.
     """
     _check_dim(n)
     if rho.n_modes != sigma.n_modes:
@@ -230,18 +229,8 @@ def oracle_trace(
         raise ValueError(
             f"total dimension {n**rho.n_modes} exceeds guard {MAX_TOTAL_DIM}"
         )
-    undisplaced = all(u == 0 for u in rho.displacement) and all(
-        u == 0 for u in sigma.displacement
-    )
-    if undisplaced:
+    if all(u == 0 for u in rho.displacement + sigma.displacement):
         return _spectral_trace(rho, sigma, alpha, n)
-    if alpha > 1.0:
-        if any(math.isinf(s) for s in sigma.temps):
-            raise ValueError(
-                "sigma must be faithful within the truncation for alpha > 1"
-            )
-        return _structured_trace(rho, sigma, alpha, n)
-    rho_a, _ = _matrix_power(_displaced_density(rho, n), alpha, clamp=False)
-    sigma_b, _ = _matrix_power(_displaced_density(sigma, n), 1.0 - alpha, clamp=False)
-    value = float(np.real(np.trace(rho_a @ sigma_b)))
-    return OracleTrace(value, 0, n)
+    if alpha > 1.0 and not sigma.faithful:
+        raise ValueError("sigma must be faithful within the truncation for alpha > 1")
+    return _structured_trace(rho, sigma, alpha, n)

@@ -228,6 +228,11 @@ def test_validate_default_passes(states, capsys):
     assert float(rec["max_rel_dev_thermal"]) <= 1e-10
     assert float(rec["max_rel_dev_displaced"]) <= 1e-6
     assert "PASS" in err
+    # clamping happens above order one only
+    assert all("clamped" in case for case in rec["cases"])
+    assert all(case["clamped"] == 0 for case in rec["cases"] if case["alpha"] < 1.0)
+    assert rec["clamped"] == sum(case["clamped"] for case in rec["cases"])
+    assert f"{rec['clamped']} entries clamped" in err
 
 
 def test_validate_custom_case(states, tmp_path, capsys):
@@ -244,6 +249,54 @@ def test_validate_custom_case(states, tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", "--case", str(case), "--dim", "48"])
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_validate_divergent_case_exits_two(tmp_path, capsys):
+    # alpha = 2.5 lies above alpha* = 2: the verdict is inf, never a pass
+    case = tmp_path / "case.json"
+    case.write_text(
+        json.dumps({"rho": {"temps": [1]}, "sigma": {"temps": [2]}, "alphas": [2.5]})
+    )
+    code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", "24"])
+    assert code == 2
+    assert '"pass": true' not in out
+    assert "error:" in err
+    assert "alpha* = 2" in err and "threshold" in err
+
+
+def test_validate_vacuum_sigma_above_one_exits_two(tmp_path, capsys):
+    case = tmp_path / "case.json"
+    case.write_text(
+        json.dumps(
+            {
+                "rho": {"temps": [1], "displacement": [[1, 0]]},
+                "sigma": {"temps": ["inf"]},
+                "alphas": [1.5],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", "24"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "support" in err
+
+
+def test_validate_beyond_double_range_exits_two(tmp_path, capsys):
+    # finite D = 12153.5..., but log q = (alpha-1) D is about 58919
+    case = tmp_path / "case.json"
+    case.write_text(
+        json.dumps(
+            {
+                "rho": {"temps": [4.9834453035406066], "displacement": [[0.547426234, 0]]},
+                "sigma": {"temps": [2.514274904578052]},
+                "alphas": [5.847908385841311],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", "24"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "beyond double range" in err
 
 
 def test_weyl_scan(states, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from petz_renyi.displaced import DisplacedThermalSpec, d_alpha_displaced
 from petz_renyi.oracle import (
+    _element_bound,
     annihilation_matrix,
     displacement_matrix,
     oracle_trace,
@@ -171,3 +172,131 @@ def test_oracle_validation():
         oracle_trace(spec([1.0, 1.0]), spec([2.0, 2.0]), 0.5, 96)  # guard
     with pytest.raises(ValueError):
         oracle_trace(spec([1.0], [1.0]), spec([math.inf], [0.0]), 1.5, 32)
+
+
+def _dense_power(mat, p):
+    # fractional power through eigh; eigenvalues at roundoff level are the
+    # exact zeros of vacuum modes (the true spectra here stay above 1e-10)
+    w, v = np.linalg.eigh(mat)
+    w = np.where(w > 1e-13, w, 0.0)
+    return (v * w**p) @ v.conj().T
+
+
+def _dense_state(state, n):
+    out = np.ones((1, 1))
+    for s, u in zip(state.temps, state.displacement):
+        g = thermal_matrix(s, n)
+        if u != 0:
+            w = displacement_matrix(u, n)
+            g = w @ g @ w.conj().T
+        out = np.kron(out, g)
+    return out
+
+
+def test_structured_route_matches_dense_reference():
+    n = 12
+    pairs = [
+        (spec([0.8], [0.7]), spec([1.0], [0.0])),
+        (spec([0.8], [0.5 + 0.3j]), spec([1.0], [-0.4j])),
+        (spec([0.8, 1.0], [0.6, 0.0]), spec([0.9, 0.7], [0.0, 0.3j])),
+        (spec([0.8, 1.0], [0.5, 0.2j]), spec([0.9, math.inf], [0.0, -0.3])),
+    ]
+    for rho, sigma in pairs:
+        dense_rho, dense_sigma = _dense_state(rho, n), _dense_state(sigma, n)
+        for alpha in (0.3, 0.7):
+            expect = np.trace(
+                _dense_power(dense_rho, alpha) @ _dense_power(dense_sigma, 1.0 - alpha)
+            ).real
+            tr = oracle_trace(rho, sigma, alpha, n)
+            assert tr.value == pytest.approx(expect, rel=1e-12)
+            assert tr.clamped == 0
+
+
+def _scalar_bound(u, n):
+    x = abs(u) ** 2
+    log_u = 0.5 * math.log(x)
+    out = np.empty((n, n))
+    for el in range(n):
+        for k in range(n):
+            t = [
+                (el + k - 2 * j) * log_u
+                + 0.5 * (math.lgamma(el + 1) + math.lgamma(k + 1))
+                - math.lgamma(el - j + 1)
+                - math.lgamma(k - j + 1)
+                - math.lgamma(j + 1)
+                for j in range(min(el, k) + 1)
+            ]
+            top = max(t)
+            log_sum = top + math.log(math.fsum(math.exp(v - top) for v in t))
+            out[el, k] = math.exp(min(700.0, -0.5 * x + log_sum))
+    return out
+
+
+def test_element_bound_matches_scalar_loop():
+    for u in (0.3j, 1.0, 1 + 1j, 3.0):
+        for n in (2, 7, 24):
+            got = _element_bound(u, n)
+            assert got == pytest.approx(_scalar_bound(u, n), rel=1e-13, abs=0.0)
+
+
+def test_element_bound_dominates_displacement_matrix():
+    n = 24
+    for u in (0.3j, 1.0, 1 + 1j):
+        w = displacement_matrix(u, 2 * n)[:n, :n]
+        assert (np.abs(w) <= _element_bound(u, n) * (1 + 1e-8) + 1e-12).all()
+
+
+def _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n):
+    # the whole (n^2 x n^2) overlap at once, zeroing entries with m2 > 4 b^2
+    m2 = np.ones((1, 1))
+    b = np.ones((1, 1))
+    w_rho = np.ones(1)
+    w_sigma = np.ones(1)
+    for rj, sj, u1, u2 in zip(r, s, u_rho, u_sigma):
+        mode_m, mode_b = np.eye(n), np.eye(n)
+        if u1 != 0:
+            mode_m, mode_b = displacement_matrix(u1, n), _element_bound(u1, n)
+        if u2 != 0:
+            mode_m = displacement_matrix(u2, n).conj().T @ mode_m
+            mode_b = _element_bound(u2, n).T @ mode_b
+        m2 = np.kron(m2, np.abs(mode_m) ** 2)
+        b = np.kron(b, mode_b)
+        w_rho = np.kron(w_rho, np.diag(thermal_matrix(rj, n)).real ** alpha)
+        w_sigma = np.kron(w_sigma, np.diag(thermal_matrix(sj, n)).real ** (1 - alpha))
+    noisy = m2 > 4.0 * b**2
+    value = (w_sigma[:, None] * w_rho[None, :] * np.where(noisy, 0.0, m2)).sum()
+    return value, int(np.count_nonzero(noisy))
+
+
+def test_blocked_clamp_matches_full_kronecker():
+    n, alpha = 24, 1.5
+    r, s = (0.8, 1.2), (1.5, 2.0)
+    # each mode displaced in rho only, in sigma only, in both or in neither
+    for u_rho, u_sigma in (
+        ((0.6, 0.0), (0.0, 0.3j)),
+        ((0.6, 0.2), (0.0, 0.3j)),
+        ((0.5, 0.0), (0.0, 0.0)),
+    ):
+        expect, clamped = _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n)
+        tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), alpha, n)
+        assert tr.clamped == clamped > 0
+        assert tr.value == pytest.approx(expect, rel=1e-12)
+
+
+def test_oracle_displaced_against_vacuum_below_one():
+    rho = spec([1.0], [1.0])
+    sigma = spec([math.inf])
+    res = d_alpha_displaced(rho, sigma, 0.5)
+    tr = oracle_trace(rho, sigma, 0.5, 48)
+    assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-6)
+    assert tr.clamped == 0
+
+
+def test_oracle_weights_where_sigma_eigenvalues_underflow():
+    # e^{-15 l} underflows for l >= 50, but lam_sigma^{1-alpha} = e^{1.5 l}
+    # stays finite: the weights are formed in the log domain
+    rho = spec([10.0], [0.1])
+    sigma = spec([15.0])
+    res = d_alpha_displaced(rho, sigma, 1.1)
+    tr = oracle_trace(rho, sigma, 1.1, 64)
+    assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-10)
