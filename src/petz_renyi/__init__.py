@@ -11,7 +11,6 @@ from .states import (
     covariance,
     eigenvalue,
     eigenvalue_log,
-    enumerate_occupations,
     log1mexp,
     power_reparam,
     support_set,

@@ -14,11 +14,12 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .displaced import DisplacedThermalSpec, d_alpha_displaced
 from .oracle import oracle_trace
 from .states import ModeVector
+from .thermal import _threshold_scan, _violating_modes, alpha_threshold
 from .weyl import default_fejer_constant, fejer_scan, sine_interval_indices
 
 __all__ = ["main"]
@@ -117,38 +118,18 @@ def _spec_from_doc(doc, path: str) -> DisplacedThermalSpec:
         raise CliError(f"invalid state spec in {path}: {e}")
 
 
-def _threshold_data(r: ModeVector, s: ModeVector) -> Tuple[float, List[int], dict]:
-    ratios = {}
-    best = math.inf
-    argmin: List[int] = []
-    for j, (rj, sj) in enumerate(zip(r, s)):
-        if math.isinf(rj) or math.isinf(sj) or rj >= sj:
-            continue
-        ratio = sj / (sj - rj)
-        ratios[str(j + 1)] = ratio
-        if ratio < best:
-            best, argmin = ratio, [j + 1]
-        elif ratio == best:
-            argmin.append(j + 1)
-    return best, argmin, ratios
-
-
 def cmd_threshold(args) -> int:
     rho = load_state_spec(args.rho)
     sigma = load_state_spec(args.sigma)
     if rho.n_modes != sigma.n_modes:
         raise CliError("states have different mode counts")
-    r, s = rho.temps, sigma.temps
-    alpha_star, argmin, ratios = _threshold_data(r, s)
-    violating = [
-        j + 1
-        for j, (rj, sj) in enumerate(zip(r, s))
-        if not math.isinf(rj) and math.isinf(sj)
-    ]
+    thr = _threshold_scan(rho.temps, sigma.temps)
+    violating = list(_violating_modes(rho.temps, sigma.temps))
+    argmin = list(thr.argmin_modes)
     record = {
-        "alpha_star": alpha_star,
+        "alpha_star": thr.alpha_star,
         "argmin_modes": argmin,
-        "ratios": ratios,
+        "ratios": {str(j): ratio for j, ratio in thr.ratios.items()},
     }
     if violating:
         record["warning"] = (
@@ -156,7 +137,7 @@ def cmd_threshold(args) -> int:
             "every order above one"
         )
     _emit(record)
-    _note(f"alpha* = {_fmt(alpha_star)}  argmin modes {argmin}")
+    _note(f"alpha* = {_fmt(thr.alpha_star)}  argmin modes {argmin}")
     return 0
 
 
@@ -272,9 +253,9 @@ def cmd_validate(args) -> int:
             ent = d_alpha_displaced(rho, sigma, alpha).entropy
             if not ent.finite:
                 # a support violation makes every order above one infinite
-                star = _threshold_data(rho.temps, sigma.temps)[0]
-                if ent.witness.kind == "support":
-                    star = 1.0
+                star = 1.0
+                if ent.witness.kind != "support":
+                    star = alpha_threshold(rho.temps, sigma.temps).alpha_star
                 raise CliError(
                     f"D_alpha is infinite at alpha = {_fmt(alpha)} "
                     f"(alpha* = {_fmt(star)}, {ent.witness.kind} witness): "

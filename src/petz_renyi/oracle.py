@@ -1,26 +1,34 @@
 """Brute-force validator on a truncated Fock space.
 
 Everything here is linear algebra at desk scale on the space truncated to
-``N`` levels per mode.  Displacement operators are explicit matrices built by
-an eigendecomposition of their Hermitian generator.  The trace argument
-``tr(rho^alpha sigma^{1-alpha})`` is then summed entry by entry over the
-exact thermal spectra, which unitary conjugation leaves unchanged; see
-:func:`oracle_trace`.  This path is deliberately independent of the closed
-forms it validates: it uses no formula for the trace and never factors it
-over modes.
+``N`` levels per mode.  Unitary conjugation leaves the thermal spectra
+unchanged, so the trace argument has one spectral resolution over the full
+truncated space,
+
+    ``tr(rho^alpha sigma^{1-alpha})
+        = sum_{k,l} lam_rho(k)^alpha lam_sigma(l)^{1-alpha} |M[l, k]|^2``,
+
+with ``M = W(u_sigma)^dag W(u_rho)``: the identity for undisplaced pairs,
+otherwise a product of explicit displacement matrices built by an
+eigendecomposition of their Hermitian generator.  The weights are formed in
+the log domain and the sum over sigma's eigenvalues is taken there, so no
+weight has to be representable on its own; see :func:`oracle_trace`.
+This path is deliberately independent of the closed forms it validates: it
+uses no formula for the trace and never factors it over modes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Tuple
 
 import numpy as np
 
 from .displaced import DisplacedThermalSpec
 from .states import log1mexp
+from .thermal import _LOG_MAX, support_contained, validate_order
 
 __all__ = [
     "annihilation_matrix",
@@ -32,7 +40,7 @@ __all__ = [
 
 MAX_TOTAL_DIM = 4096
 # entries of one block of the overlap over the full truncated space: bounds
-# the working set of _structured_trace whatever the mode count
+# the working set of _overlap_rows whatever the mode count
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -83,40 +91,18 @@ class OracleTrace:
     dim: int
 
 
-def _spectral_trace(
-    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float, n: int
-) -> OracleTrace:
-    # undisplaced states share the particle eigenbasis: exact spectral sum
-    # honoring 0^{1-alpha} = inf and 0 * inf = 0 for alpha > 1
-    total = 0.0
-    for k in itertools.product(range(n), repeat=rho.n_modes):
-        lam_r = 1.0
-        lam_s = 1.0
-        for kj, rj, sj in zip(k, rho.temps, sigma.temps):
-            lam_r *= 0.0 if (math.isinf(rj) and kj > 0) else (
-                1.0 if math.isinf(rj) else math.exp(log1mexp(rj) - kj * rj)
-            )
-            lam_s *= 0.0 if (math.isinf(sj) and kj > 0) else (
-                1.0 if math.isinf(sj) else math.exp(log1mexp(sj) - kj * sj)
-            )
-        if lam_r == 0.0:
-            continue  # 0 * inf = 0
-        if lam_s == 0.0:
-            if alpha > 1.0:
-                return OracleTrace(math.inf, 0, n)
-            continue  # 0^{1-alpha} = 0 below order one
-        total += lam_r**alpha * lam_s ** (1.0 - alpha)
-    return OracleTrace(total, 0, n)
+def _log_weights(temps, p: float, n: int) -> np.ndarray:
+    """``log(lam^p)`` over the full space.
 
-
-def _spectral_weights(temps, p: float, n: int) -> np.ndarray:
-    """``lam^p`` over the full space, in the log domain where ``lam`` underflows."""
+    ``-inf`` on the kernel (``lam = 0``, vacuum modes) at either sign of ``p``.
+    """
     k = np.arange(n)
     logs = [
         np.where(k == 0, 0.0, -np.inf) if math.isinf(t) else log1mexp(t) - t * k
         for t in temps
     ]
-    return np.exp(p * reduce(lambda a, b: np.add.outer(a, b).ravel(), logs))
+    full = reduce(lambda a, b: np.add.outer(a, b).ravel(), logs)
+    return np.where(full == -np.inf, -np.inf, p * full)
 
 
 def _element_bound(u: complex, n: int) -> np.ndarray:
@@ -170,29 +156,22 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _structured_trace(
-    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float, n: int
-) -> OracleTrace:
-    # Unitary conjugation preserves the spectrum, so the truncated displaced
-    # states have the exact thermal eigenvalues with eigenbases related by
-    # M = W(u_sigma)^dag W(u_rho).  The trace resolves as
-    # sum_{k,l} lam_r(k)^alpha lam_s(l)^{1-alpha} |M[l, k]|^2, which keeps
-    # eigenvalues far below eigh resolution exact.  Above order one the
-    # negative sigma power amplifies by up to e^{(alpha-1) s (n-1)}, so
-    # entries of M that exceed twice their rigorous a priori bound (meaning
-    # roundoff dominates the true value) are zeroed; the count is reported as
-    # ``clamped``.  Below order one every weight is at most 1 and nothing is
-    # clamped.  The Kronecker products over modes are formed one block of
-    # leading-mode rows at a time, with the same products as the full form.
-    clamp = alpha > 1.0
-    pairs = list(zip(rho.displacement, sigma.displacement))
+def _overlap_rows(pairs, clamp: bool, n: int, w_rho) -> Tuple[np.ndarray, int]:
+    """``|M|^2 @ w_rho`` and the number of clamped entries of ``M``.
+
+    ``M = W(u_sigma)^dag W(u_rho)`` over the ``(u_rho, u_sigma)`` pairs of the
+    modes.  Above order one the negative sigma power amplifies by up to
+    ``e^{(alpha-1) s (n-1)}``, so with ``clamp`` the entries of ``M`` that
+    exceed twice their rigorous a priori bound (meaning roundoff dominates
+    the true value) are zeroed and counted.  The Kronecker products over
+    modes are formed one block of leading-mode rows at a time, with the same
+    products as the full form.
+    """
     m2 = [np.abs(_mode_product(displacement_matrix, *p, n)) ** 2 for p in pairs]
     bound = [_mode_product(_element_bound, *p, n) for p in pairs] if clamp else []
-    w_rho = _spectral_weights(rho.temps, alpha, n)
-    w_sigma = _spectral_weights(sigma.temps, 1.0 - alpha, n)
     rest = w_rho.size // n  # full-space rows per row of the leading mode
     step = max(1, BLOCK_ENTRIES // (rest * w_rho.size))
-    total, clamped = 0.0, 0
+    rows, clamped = np.empty(w_rho.size), 0
     for lo in range(0, n, step):
         block = reduce(_kron, [m2[0][lo : lo + step]] + m2[1:])
         if clamp:
@@ -200,8 +179,8 @@ def _structured_trace(
             noisy = block > 4.0 * b**2
             clamped += int(np.count_nonzero(noisy))
             block = np.where(noisy, 0.0, block)
-        total += w_sigma[lo * rest : (lo + step) * rest] @ (block @ w_rho)
-    return OracleTrace(float(total), clamped, n)
+        rows[lo * rest : (lo + step) * rest] = block @ w_rho
+    return rows, clamped
 
 
 def oracle_trace(
@@ -212,25 +191,45 @@ def oracle_trace(
 ) -> OracleTrace:
     """Direct ``tr(rho^alpha sigma^{1-alpha})`` on the truncated space.
 
-    Fully undisplaced inputs take the exact diagonal spectral path honoring
-    ``0^{1-alpha} = inf`` and ``0 * inf = 0``.  Displaced inputs, at every
-    order, are resolved against the exact thermal spectra with the
-    eigh-generated displacement unitaries (see :func:`_structured_trace`);
-    vacuum modes of sigma drop out below order one (``0^{1-alpha} = 0``),
-    and above order one sigma must be faithful.  ``clamped`` counts the
-    entries zeroed as roundoff, which happens above order one only.
+    The spectral resolution of the module docstring: the rows
+    ``sum_k |M[l, k]|^2 lam_rho(k)^alpha``, which are ``lam_rho(l)^alpha`` for
+    an undisplaced pair (``M = 1``), are summed against
+    ``lam_sigma(l)^{1-alpha}`` in the log domain.  Vanishing eigenvalues carry
+    weight 0 at either sign of the power, so vacuum modes of sigma drop out
+    below order one (``0^{1-alpha} = 0``); above order one they make an
+    undisplaced trace ``inf`` where rho is finite (``0^{1-alpha} = inf``), and
+    a displaced pair needs a faithful sigma.  Otherwise the value is ``inf``
+    only when the truncated sum exceeds double range.  ``clamped`` counts the
+    entries of ``M`` zeroed as roundoff, above order one only (see
+    :func:`_overlap_rows`).
     """
     _check_dim(n)
+    alpha = validate_order(alpha)
     if rho.n_modes != sigma.n_modes:
         raise ValueError("mode counts differ")
-    if alpha == 1.0 or not (alpha > 0.0):
-        raise ValueError(f"order must lie in (0,1) or (1,inf), got {alpha}")
     if n**rho.n_modes > MAX_TOTAL_DIM:
         raise ValueError(
             f"total dimension {n**rho.n_modes} exceeds guard {MAX_TOTAL_DIM}"
         )
-    if all(u == 0 for u in rho.displacement + sigma.displacement):
-        return _spectral_trace(rho, sigma, alpha, n)
+    pairs = list(zip(rho.displacement, sigma.displacement))
+    undisplaced = all(u == 0 for pair in pairs for u in pair)
     if alpha > 1.0 and not sigma.faithful:
-        raise ValueError("sigma must be faithful within the truncation for alpha > 1")
-    return _structured_trace(rho, sigma, alpha, n)
+        if not undisplaced:
+            raise ValueError(
+                "sigma must be faithful within the truncation for alpha > 1"
+            )
+        if not support_contained(rho.temps, sigma.temps):
+            return OracleTrace(math.inf, 0, n)
+    log_w_rho = _log_weights(rho.temps, alpha, n)
+    if undisplaced:  # M = 1
+        log_rows, clamped = log_w_rho, 0
+    else:
+        rows, clamped = _overlap_rows(pairs, alpha > 1.0, n, np.exp(log_w_rho))
+        with np.errstate(divide="ignore"):
+            log_rows = np.log(rows)
+    # lam_sigma^{1-alpha} never has to be representable on its own
+    terms = _log_weights(sigma.temps, 1.0 - alpha, n) + log_rows
+    top = terms.max()
+    log_total = top + math.log(np.exp(terms - top).sum())
+    value = math.exp(log_total) if log_total < _LOG_MAX else math.inf
+    return OracleTrace(value, clamped, n)

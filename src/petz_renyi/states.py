@@ -21,7 +21,6 @@ __all__ = [
     "eigenvalue_log",
     "covariance",
     "power_reparam",
-    "enumerate_occupations",
 ]
 
 
@@ -140,25 +139,3 @@ def power_reparam(s: "ModeVector | Sequence[float]", alpha: float) -> ModeVector
         raise ValueError(f"power must be positive, got {alpha}")
     temps = _as_temps(s)
     return ModeVector(t if math.isinf(t) else alpha * t for t in temps)
-
-
-def enumerate_occupations(n_modes: int, total_max: int) -> Iterator[Tuple[int, ...]]:
-    """Occupation vectors with ``|k|_1 <= total_max``, by total then lexicographic.
-
-    This is the deterministic enumeration order used by truncated sums: all
-    vectors of total occupation 0, then 1, and so on, lexicographically within
-    each shell.
-    """
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-
-    def shell(total: int, modes: int) -> Iterator[Tuple[int, ...]]:
-        if modes == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in shell(total - first, modes - 1):
-                yield (first,) + rest
-
-    for total in range(total_max + 1):
-        yield from shell(total, n_modes)

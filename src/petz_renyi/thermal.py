@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .states import ModeVector, log1mexp, support_set
 
@@ -81,10 +81,15 @@ class ExtendedEntropy:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Finiteness threshold ``alpha*`` and the 1-based modes achieving it."""
+    """Finiteness threshold ``alpha*`` and the 1-based modes achieving it.
+
+    ``ratios`` maps every 1-based mode ``j`` with finite ``r_j < s_j`` to its
+    ratio ``s_j/(s_j - r_j)``; ``alpha*`` is their minimum.
+    """
 
     alpha_star: float
     argmin_modes: Tuple[int, ...] = field(default_factory=tuple)
+    ratios: Dict[int, float] = field(default_factory=dict)
 
 
 def validate_order(alpha: float) -> float:
@@ -113,6 +118,18 @@ def _violating_modes(r: ModeVector, s: ModeVector) -> Tuple[int, ...]:
     )
 
 
+def _threshold_scan(r: ModeVector, s: ModeVector) -> ThresholdResult:
+    """The ratio scan of :func:`alpha_threshold`, without its support check."""
+    ratios = {
+        j + 1: sj / (sj - rj)
+        for j, (rj, sj) in enumerate(zip(r, s))
+        if not (math.isinf(rj) or math.isinf(sj) or rj >= sj)
+    }
+    best = min(ratios.values(), default=math.inf)
+    argmin = tuple(j for j, ratio in ratios.items() if ratio == best)
+    return ThresholdResult(best, argmin, ratios)
+
+
 def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
     """Threshold ``alpha* = min_j s_j/(s_j - r_j)`` over modes with ``r_j < s_j``.
 
@@ -123,18 +140,7 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
     bad = _violating_modes(r, s)
     if bad:
         raise SupportViolation(bad)
-    best = math.inf
-    argmin = []
-    for j, (rj, sj) in enumerate(zip(r, s)):
-        if math.isinf(rj) or math.isinf(sj) or rj >= sj:
-            continue
-        ratio = sj / (sj - rj)
-        if ratio < best:
-            best = ratio
-            argmin = [j + 1]
-        elif ratio == best:
-            argmin.append(j + 1)
-    return ThresholdResult(best, tuple(argmin))
+    return _threshold_scan(r, s)
 
 
 # log of the largest double: a trace argument beyond it is finite but unrepresentable

@@ -9,9 +9,10 @@ carry an associated Laguerre polynomial.  The Fejer large-degree asymptotic
 implies the diagonal elements decay only like ``j^{-1/4}`` along a positive
 density of indices, which is what the scan utilities here certify.
 
-All polynomial evaluation uses the upward three-term recurrence.  The direct
+Every polynomial value, of a single degree or of a whole sequence, comes
+from one upward three-term recurrence, ``_laguerre_run``.  The direct
 binomial sum cancels catastrophically beyond degree ~20 and survives only in
-the exact-rational test oracles.  Recurrences carry a separate exponent
+the exact-rational test oracles.  The recurrence carries a separate exponent
 register so that degrees and arguments far beyond the overflow range of a
 bare double stay usable.
 """
@@ -19,9 +20,10 @@ bare double stay usable.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,49 +53,30 @@ def laguerre(j: int, x: float) -> float:
     return sign * math.exp(logabs)
 
 
+def _laguerre_run(n: int, x: float, m: int = 0) -> Iterator[Tuple[float, float]]:
+    """``(v, e)`` with ``L_j^{(m)}(x) = v e^e`` for ``j = 0, 1, ..., n``.
+
+    The upward three-term recurrence from ``L_{-1} = 0`` and ``L_0 = 1``; the
+    exponent register ``e`` absorbs a rescaling whenever a value passes
+    ``_RESCALE``.
+    """
+    prev, curr, offset = 0.0, 1.0, 0.0
+    yield curr, offset
+    for j in range(n):
+        prev, curr = curr, ((2 * j + 1 + m - x) * curr - (j + m) * prev) / (j + 1)
+        a = max(abs(prev), abs(curr))
+        if a > _RESCALE:
+            prev, curr, offset = prev / a, curr / a, offset + math.log(a)
+        yield curr, offset
+
+
 def _laguerre_sign_log(n: int, x: float, m: int = 0) -> Tuple[float, float]:
     """(sign, log|value|) of the associated Laguerre ``L_n^{(m)}(x)``."""
-    prev, curr = 1.0, 1.0 + m - x
-    if n == 0:
-        return 1.0, 0.0
-    offset = 0.0
-    for j in range(1, n):
-        nxt = ((2 * j + 1 + m - x) * curr - (j + m) * prev) / (j + 1)
-        prev, curr = curr, nxt
-        a = max(abs(prev), abs(curr))
-        if a > _RESCALE:
-            prev /= a
-            curr /= a
-            offset += math.log(a)
-    if curr == 0.0:
+    for v, offset in _laguerre_run(n, x, m):
+        pass
+    if v == 0.0:
         return 1.0, -math.inf
-    return math.copysign(1.0, curr), math.log(abs(curr)) + offset
-
-
-def _laguerre_seq_sign_log(jmax: int, x: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Signs and log magnitudes of ``L_j(x)`` for all ``j <= jmax``."""
-    sign = np.ones(jmax + 1)
-    logabs = np.zeros(jmax + 1)
-    prev, curr = 1.0, 1.0 - x
-    offset = 0.0
-    if jmax >= 1:
-        sign[1] = math.copysign(1.0, curr) if curr != 0.0 else 1.0
-        logabs[1] = math.log(abs(curr)) if curr != 0.0 else -math.inf
-    for j in range(1, jmax):
-        nxt = ((2 * j + 1 - x) * curr - j * prev) / (j + 1)
-        prev, curr = curr, nxt
-        a = max(abs(prev), abs(curr))
-        if a > _RESCALE:
-            prev /= a
-            curr /= a
-            offset += math.log(a)
-        if curr == 0.0:
-            sign[j + 1] = 1.0
-            logabs[j + 1] = -math.inf
-        else:
-            sign[j + 1] = math.copysign(1.0, curr)
-            logabs[j + 1] = math.log(abs(curr)) + offset
-    return sign, logabs
+    return math.copysign(1.0, v), math.log(abs(v)) + offset
 
 
 def weyl_diag(j: int, u: complex) -> float:
@@ -108,8 +91,10 @@ def weyl_diag(j: int, u: complex) -> float:
 def weyl_diag_sequence(jmax: int, u: complex) -> np.ndarray:
     """``weyl_diag(j, u)`` for all ``j <= jmax`` in one recurrence pass."""
     x = abs(u) ** 2
-    sign, logabs = _laguerre_seq_sign_log(jmax, x)
-    return sign * np.exp(logabs - 0.5 * x)
+    pairs = itertools.chain.from_iterable(_laguerre_run(jmax, x))
+    v, offset = np.fromiter(pairs, float, 2 * (jmax + 1)).reshape(-1, 2).T
+    with np.errstate(divide="ignore"):
+        return np.sign(v) * np.exp(np.log(np.abs(v)) + offset - 0.5 * x)
 
 
 def weyl_element(row: int, col: int, u: complex) -> complex:

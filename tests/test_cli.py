@@ -54,10 +54,23 @@ def test_threshold_no_crossing_is_inf(states, tmp_path, capsys):
     assert json.loads(out)["alpha_star"] == "inf"
 
 
-def test_threshold_support_warning(states, capsys):
+def test_threshold_support_warning(states, tmp_path, capsys):
     code, out, _ = run(capsys, ["threshold", states["rho"], states["vacuum"]])
     assert code == 0
     assert "support violation" in json.loads(out)["warning"]
+    # the warning record still carries the scan over the other modes
+    rho = write_state(tmp_path, "rho3.json", [1.0, 3.0, 2.0])
+    sigma = write_state(tmp_path, "sigma3.json", [2.0, 2.0, "inf"])
+    code, out, err = run(capsys, ["threshold", rho, sigma])
+    assert code == 0
+    assert json.loads(out) == {
+        "alpha_star": 2.0,
+        "argmin_modes": [1],
+        "ratios": {"1": 2.0},
+        "warning": "support violation on modes [3]: entropy is infinite for "
+        "every order above one",
+    }
+    assert err == "alpha* = 2  argmin modes [1]\n"
 
 
 def test_entropy_thermal(states, capsys):

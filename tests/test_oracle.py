@@ -1,6 +1,7 @@
 """Truncated-Fock-space brute-force validator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,13 +93,47 @@ def test_covariance_preserved_under_displacement():
 
 
 def test_oracle_matches_thermal_closed_form():
-    r, s = ModeVector([1.0]), ModeVector([2.0])
-    for alpha in (0.3, 0.5, 0.9, 1.5):
-        tr = oracle_trace(spec([1.0]), spec([2.0]), alpha, 64)
-        ent = d_alpha_thermal(r, s, alpha)
-        expect = math.exp((alpha - 1.0) * ent.value)
+    cases = [
+        ([1.0], [2.0], 64, (0.3, 0.5, 0.9, 1.5)),
+        ([0.8, 1.2], [1.5, 2.0], 64, (0.5, 1.5)),
+        ([2.0, 2.5, 3.0], [2.5, 3.0, 4.0], 16, (0.5, 1.5)),
+        ([1.0, math.inf], [2.0, math.inf], 64, (0.5, 1.5)),  # vacuum in both
+    ]
+    for r, s, n, alphas in cases:
+        for alpha in alphas:
+            tr = oracle_trace(spec(r), spec(s), alpha, n)
+            ent = d_alpha_thermal(ModeVector(r), ModeVector(s), alpha)
+            expect = math.exp((alpha - 1.0) * ent.value)
+            assert tr.value == pytest.approx(expect, rel=1e-10)
+            assert tr.clamped == 0
+
+
+def test_oracle_thermal_where_eigenvalues_leave_double_range():
+    # lam_rho^alpha underflows past k ~ 500 and lam_sigma^{1-alpha} = e^{l}
+    # overflows past l ~ 709; the sum stays close to its limit
+    ent = d_alpha_thermal(ModeVector([1.0]), ModeVector([2.0]), 1.5)
+    expect = math.exp(0.5 * ent.value)
+    assert expect == pytest.approx(1.3736152605333394, rel=1e-15)
+    for n in (400, 1000):
+        tr = oracle_trace(spec([1.0]), spec([2.0]), 1.5, n)
         assert tr.value == pytest.approx(expect, rel=1e-10)
-        assert tr.clamped == 0
+    # near alpha* = 2 the terms decay like e^{-0.01 k}: the weights of the
+    # terms that matter lie beyond double range on both sides
+    ent = d_alpha_thermal(ModeVector([1.0]), ModeVector([2.0]), 1.99)
+    tr = oracle_trace(spec([1.0]), spec([2.0]), 1.99, 3000)
+    assert tr.value == pytest.approx(math.exp(0.99 * ent.value), rel=1e-10)
+
+
+def test_oracle_sigma_weights_beyond_double_range():
+    # lam_sigma^{1-alpha} = e^{7.5 l} exceeds double range at n = 96
+    rho, sigma = spec([10.0], [0.5]), spec([15.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = oracle_trace(rho, sigma, 1.5, 96)
+    assert 0.0 < tr.value < math.inf
+    # the value where the weights are still in range
+    tr = oracle_trace(rho, sigma, 1.5, 64)
+    assert tr.value == pytest.approx(1.4522103044392586e36, rel=1e-12)
 
 
 def test_oracle_vacuum_conventions():
@@ -164,6 +199,9 @@ def test_oracle_validation():
         oracle_trace(rho, sigma, 1.0, 32)
     with pytest.raises(ValueError):
         oracle_trace(rho, sigma, -0.5, 32)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            oracle_trace(rho, sigma, alpha, 32)
     with pytest.raises(ValueError):
         oracle_trace(rho, spec([2.0, 3.0]), 0.5, 32)
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from petz_renyi.states import (
     covariance,
     eigenvalue,
     eigenvalue_log,
-    enumerate_occupations,
     log1mexp,
     power_reparam,
     support_set,
@@ -148,12 +147,3 @@ def test_power_reparam_examples():
     assert power_reparam(ModeVector([0.7]), 2.0).temps == (1.4,)
     with pytest.raises(ValueError):
         power_reparam(ModeVector([1.0]), 0.0)
-
-
-def test_enumerate_occupations_order_and_count():
-    got = list(enumerate_occupations(2, 2))
-    assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    # shell sizes are binomial(total + modes - 1, modes - 1)
-    got3 = list(enumerate_occupations(3, 4))
-    assert len(got3) == math.comb(4 + 3, 3)
-    assert got3 == sorted(got3, key=lambda k: (sum(k), k))

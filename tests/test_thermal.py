@@ -131,16 +131,26 @@ def test_divergent_partial_sums_blow_up():
 
 
 def test_alpha_threshold_values():
-    thr = alpha_threshold(ModeVector([1.0, 3.0]), ModeVector([2.0, 2.0]))
-    assert thr.alpha_star == 2.0
-    assert thr.argmin_modes == (1,)
+    # one ratio s_j/(s_j - r_j) per mode with r_j < s_j, keyed by 1-based mode
+    thr = alpha_threshold(ModeVector([1.0, 3.0, 0.5]), ModeVector([2.0, 2.0, 2.0]))
+    assert thr.ratios == {1: 2.0, 3: 2.0 / 1.5}
+    assert thr.alpha_star == 2.0 / 1.5
+    assert thr.argmin_modes == (3,)
     # min over the empty set: no mode with r < s
-    thr = alpha_threshold(ModeVector([5.0]), ModeVector([2.0]))
+    thr = alpha_threshold(ModeVector([5.0, math.inf]), ModeVector([2.0, math.inf]))
     assert thr.alpha_star == math.inf
     assert thr.argmin_modes == ()
+    assert thr.ratios == {}
     # ties keep every achieving mode
-    thr = alpha_threshold(ModeVector([1.0, 1.0]), ModeVector([2.0, 2.0]))
+    thr = alpha_threshold(ModeVector([1.0, 2.0, 4.0]), ModeVector([2.0, 4.0, 5.0]))
+    assert thr.ratios == {1: 2.0, 2: 2.0, 3: 5.0}
     assert thr.argmin_modes == (1, 2)
+    # vacuum modes have no ratio
+    thr = alpha_threshold(
+        ModeVector([math.inf, 1.0, math.inf]), ModeVector([2.0, 3.0, math.inf])
+    )
+    assert thr.ratios == {2: 1.5}
+    assert thr.argmin_modes == (2,)
 
 
 def test_alpha_threshold_support_violation():
