@@ -6,15 +6,7 @@ covariance criteria, and cross-validates every closed form against a
 truncated-Fock-space brute-force oracle.
 """
 
-from .states import (
-    ModeVector,
-    covariance,
-    eigenvalue,
-    eigenvalue_log,
-    log1mexp,
-    power_reparam,
-    support_set,
-)
+from .states import ModeVector, covariance, log1mexp
 from .thermal import (
     DivergenceWitness,
     ExtendedEntropy,

@@ -166,6 +166,9 @@ def cmd_entropy(args) -> int:
 def cmd_sweep(args) -> int:
     rho = load_state_spec(args.rho)
     sigma = load_state_spec(args.sigma)
+    for name, bound in (("alpha-min", args.alpha_min), ("alpha-max", args.alpha_max)):
+        if not math.isfinite(bound):
+            raise CliError(f"{name} must be finite, got {_fmt(bound)}")
     if not (0.0 < args.alpha_min < args.alpha_max) and args.steps != 1:
         raise CliError("need 0 < alpha-min < alpha-max")
     if args.steps < 1:

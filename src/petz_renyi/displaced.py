@@ -18,6 +18,7 @@ not depend on the displacements.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -30,6 +31,7 @@ from .thermal import (
     ExtendedEntropy,
     ThresholdResult,
     _d_alpha,
+    _exponents,
     alpha_threshold,
     covariance_criterion,
     validate_order,
@@ -62,6 +64,8 @@ class DisplacedThermalSpec:
             disp = (0j,) * len(temps)
         else:
             disp = tuple(complex(z) for z in displacement)
+            if not all(map(cmath.isfinite, disp)):
+                raise ValueError(f"displacement components must be finite, got {disp}")
         if len(disp) != len(temps):
             raise ValueError(
                 f"displacement length {len(disp)} != number of modes {len(temps)}"
@@ -122,16 +126,17 @@ def predict_finiteness(
 ) -> Tuple[bool, Optional[ThresholdResult]]:
     """Analytic finiteness verdict; independent of the displacements.
 
-    Finite iff ``alpha < alpha*`` with the threshold computed from the two
-    temperature vectors.  Orders in (0,1) are always finite; there the
-    threshold is attached only when support containment makes it well defined.
+    Finite iff ``alpha r_j + (1-alpha) s_j > 0`` for every mode, decided
+    exactly (``alpha < alpha*``; the returned threshold is reported, not
+    compared).  Orders in (0,1) are always finite; there the threshold is
+    attached only when support containment makes it well defined.
     """
     alpha = validate_order(alpha)
     relative_displacement(rho, sigma)  # length check
     if alpha > 1.0:
         _require_faithful(rho, sigma)
         thr = alpha_threshold(rho.temps, sigma.temps)
-        return alpha < thr.alpha_star, thr
+        return not _exponents(rho.temps, sigma.temps, alpha)[1], thr
     try:
         thr = alpha_threshold(rho.temps, sigma.temps)
     except ValueError:
@@ -170,15 +175,12 @@ def diagonal_divergence_witness(
         raise ValueError("mode counts differ")
     if any(math.isinf(t) for t in r) or any(math.isinf(t) for t in s):
         raise ValueError("diagonal witness requires faithful states")
-    worst = None
-    for j, (rj, sj) in enumerate(zip(r, s)):
-        expo = alpha * rj + (1.0 - alpha) * sj
-        if expo <= 0.0 and (worst is None or expo < worst[1]):
-            worst = (j, expo)
-    if worst is None:
+    ts, bad = _exponents(r, s, alpha)
+    if not bad:
         return None
-    j, expo = worst
-    uj = complex(u[j])
+    j = min(bad, key=lambda j: ts[j - 1])  # the most negative exponent, first on ties
+    expo = ts[j - 1]
+    uj = complex(u[j - 1])
     if uj == 0:
         # every diagonal element is 1; sample arbitrary indices
         sample = tuple(2**i for i in range(sample_size))
@@ -198,9 +200,9 @@ def diagonal_divergence_witness(
         sample = tuple((evident or hits)[:sample_size])
     return DivergenceWitness(
         kind="diagonal-subseries",
-        mode=j + 1,
+        mode=j,
         detail=(
-            f"alpha*r + (1-alpha)*s = {expo} <= 0 for mode {j + 1}; the diagonal "
+            f"alpha*r + (1-alpha)*s = {expo} <= 0 for mode {j}; the diagonal "
             "series terms are bounded below along the sampled indices"
         ),
         exponent=expo,
@@ -216,8 +218,9 @@ def d_alpha_displaced(
     Each mode contributes its exact closed-form log trace argument.  For
     ``alpha > 1`` the value is ``inf`` with a support witness when a vacuum
     mode of sigma is not the same coherent state in rho, and with a threshold
-    witness when ``alpha >= alpha*``.  Raises ``ValueError`` when the value is
-    finite but its log trace argument or ``D`` lies beyond double range.
+    witness when some mode has ``alpha r_j + (1-alpha) s_j <= 0`` (exactly
+    ``alpha >= alpha*``).  Raises ``ValueError`` when the value is finite but
+    its log trace argument or ``D`` lies beyond double range.
     """
     u = relative_displacement(rho, sigma)
     ent = _d_alpha(rho.temps, sigma.temps, [abs(z) * abs(z) for z in u], alpha)

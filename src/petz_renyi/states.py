@@ -16,11 +16,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 __all__ = [
     "ModeVector",
     "log1mexp",
-    "support_set",
-    "eigenvalue",
-    "eigenvalue_log",
     "covariance",
-    "power_reparam",
 ]
 
 
@@ -68,48 +64,6 @@ class ModeVector:
         return self.temps[j]
 
 
-def _as_temps(s: "ModeVector | Sequence[float]") -> Tuple[float, ...]:
-    if isinstance(s, ModeVector):
-        return s.temps
-    return ModeVector(s).temps
-
-
-def support_set(s: "ModeVector | Sequence[float]") -> frozenset:
-    """Indices (1-based) of modes with finite inverse temperature."""
-    temps = _as_temps(s)
-    return frozenset(j + 1 for j, t in enumerate(temps) if not math.isinf(t))
-
-
-def eigenvalue(k: Sequence[int], s: "ModeVector | Sequence[float]") -> float:
-    """Eigenvalue of the thermal state at occupation ``k``.
-
-    Zero when a vacuum mode carries nonzero occupation; 1 when every mode is
-    vacuum and ``k`` is the zero vector.  Linear-domain form, intended for
-    small occupations; use :func:`eigenvalue_log` inside sums.
-    """
-    lg = eigenvalue_log(k, s)
-    return math.exp(lg) if lg > -math.inf else 0.0
-
-
-def eigenvalue_log(k: Sequence[int], s: "ModeVector | Sequence[float]") -> float:
-    """``log`` of :func:`eigenvalue`; ``-inf`` for a vanishing eigenvalue."""
-    temps = _as_temps(s)
-    if len(k) != len(temps):
-        raise ValueError(
-            f"occupation length {len(k)} != number of modes {len(temps)}"
-        )
-    total = 0.0
-    for kj, sj in zip(k, temps):
-        if kj < 0 or kj != int(kj):
-            raise ValueError(f"occupation numbers must be nonnegative integers, got {kj}")
-        if math.isinf(sj):
-            if kj != 0:
-                return -math.inf
-        else:
-            total += log1mexp(sj) - kj * sj
-    return total
-
-
 def covariance(s: "ModeVector | Sequence[float]", alpha: float = 1.0) -> Tuple[float, ...]:
     """Diagonal covariance entries of the normalized power state.
 
@@ -119,23 +73,6 @@ def covariance(s: "ModeVector | Sequence[float]", alpha: float = 1.0) -> Tuple[f
     """
     if not (alpha > 0.0):
         raise ValueError(f"power must be positive, got {alpha}")
-    temps = _as_temps(s)
-    out = []
-    for sj in temps:
-        if math.isinf(sj):
-            out.append(0.5)
-        else:
-            out.append(0.5 / math.tanh(alpha * sj / 2.0))
-    return tuple(out)
-
-
-def power_reparam(s: "ModeVector | Sequence[float]", alpha: float) -> ModeVector:
-    """Inverse temperatures of the normalized power state: ``alpha * s``.
-
-    The normalized positive power of a thermal state is again thermal, with
-    every inverse temperature scaled by the exponent (vacuum stays vacuum).
-    """
-    if not (alpha > 0.0):
-        raise ValueError(f"power must be positive, got {alpha}")
-    temps = _as_temps(s)
-    return ModeVector(t if math.isinf(t) else alpha * t for t in temps)
+    return tuple(
+        0.5 if math.isinf(sj) else 0.5 / math.tanh(alpha * sj / 2.0) for sj in ModeVector(s)
+    )

@@ -4,9 +4,10 @@ Per mode the trace argument ``tr(rho^alpha sigma^{1-alpha})`` is an
 elementary Gaussian closed form that depends on the displacements only
 through ``|u_j|^2``, the squared relative displacement; undisplaced thermal
 states are the case ``u = 0``.  Finiteness for ``alpha > 1`` is decided
-analytically from support containment and the mode-wise threshold
-``alpha* = min s_j / (s_j - r_j)`` over modes where ``r_j < s_j``; nothing is
-probed numerically to detect divergence.
+analytically from support containment and the exact sign of each mode's
+exponent ``t_j = alpha r_j + (1-alpha) s_j`` (``_exponents``), which is the
+theorem's ``alpha < alpha* = min s_j / (s_j - r_j)`` over ``r_j < s_j``;
+the rounded ``alpha*`` is reported but decides nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .states import ModeVector, log1mexp, support_set
+from .states import ModeVector, log1mexp
 
 __all__ = [
     "SupportViolation",
@@ -107,7 +108,7 @@ def _check_lengths(r: ModeVector, s: ModeVector) -> None:
 def support_contained(r: ModeVector, s: ModeVector) -> bool:
     """True iff every vacuum mode of the second state is vacuum in the first."""
     _check_lengths(r, s)
-    return support_set(r) <= support_set(s)
+    return not _violating_modes(r, s)
 
 
 def _violating_modes(r: ModeVector, s: ModeVector) -> Tuple[int, ...]:
@@ -143,6 +144,42 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
     return _threshold_scan(r, s)
 
 
+# t is formed exactly where |t| <= _EXACT_BAND (|alpha r| + |(1-alpha) s|): far wider
+# than the float sum's few-ulp error, since log1mexp(t) needs t to full relative accuracy
+_EXACT_BAND = 2.0**-20
+
+
+def _exponents(
+    r: ModeVector, s: ModeVector, alpha: float
+) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
+    """Exponents ``t_j = alpha r_j + (1-alpha) s_j`` and the 1-based modes where ``t_j <= 0``.
+
+    The one finiteness decision: with support contained, ``D_alpha`` is finite
+    iff no mode has ``t_j <= 0``, i.e. ``alpha < s_j/(s_j - r_j)`` wherever
+    ``r_j < s_j``.  Each ``t_j`` is its exact value rounded once, so its sign
+    is the exact verdict.  A mode with a vacuum side gets ``inf``: its series
+    has the single term ``k = 0``.
+    """
+    ts = []
+    for rj, sj in zip(r, s):
+        if math.isinf(rj) or math.isinf(sj):
+            ts.append(math.inf)
+            continue
+        a = alpha * rj
+        b = (1.0 - alpha) * sj
+        t = a + b
+        if abs(t) <= _EXACT_BAND * (abs(a) + abs(b)):
+            # doubles are dyadic rationals, so t is formed exactly.  Imported
+            # here: inputs off the boundary never need it, and a module-level
+            # import would add milliseconds to every CLI process
+            from fractions import Fraction
+
+            fa = Fraction(alpha)
+            t = float(fa * Fraction(rj) + (1 - fa) * Fraction(sj))
+        ts.append(t)
+    return tuple(ts), tuple(j + 1 for j, t in enumerate(ts) if t <= 0.0)
+
+
 # log of the largest double: a trace argument beyond it is finite but unrepresentable
 _LOG_MAX = math.log(1.7976931348623157e308)
 
@@ -152,29 +189,25 @@ def _log_expm1(x: float) -> float:
     return x + log1mexp(x)
 
 
-def _mode_log_trace(r: float, s: float, x: float, alpha: float) -> float:
+def _mode_log_trace(r: float, s: float, x: float, alpha: float, t: float) -> float:
     """``log tr(rho_j^alpha sigma_j^{1-alpha})`` for one mode.
 
-    ``x = |u|^2`` is the squared relative displacement.  With ``a = alpha r``,
-    ``b = (1-alpha) s`` and ``t = a + b``,
+    ``x = |u|^2`` is the squared relative displacement and ``t = a + b`` the
+    mode's exponent from :func:`_exponents`, with ``a = alpha r`` and
+    ``b = (1-alpha) s``:
 
     ``alpha log(1-e^-r) + (1-alpha) log(1-e^-s) - log(1-e^-t)
       - x (1-e^-a)(1-e^-b) / (1-e^-t)``,
 
     with vacuum modes (``r`` or ``s`` infinite) taken term by term.  Above
     order one ``1 - e^-b < 0`` and the displacement term is formed in the log
-    domain.  The caller has excluded divergent modes; ``inf`` means the value
-    is finite but beyond double range.
+    domain.  The caller has excluded divergent modes (``t <= 0``); ``inf``
+    means the value is finite but beyond double range.
     """
     if math.isinf(r) and math.isinf(s):
         return -x  # overlap of two coherent states
     a = alpha * r
     b = (1.0 - alpha) * s
-    t = a + b
-    if not (t > 0.0):
-        # alpha < alpha* by less than t resolves in double precision (happens
-        # at the last ulp below alpha*): -log(1-e^-t) is then out of reach
-        return math.inf
     log_q = alpha * log1mexp(r) + (1.0 - alpha) * log1mexp(s) - log1mexp(t)
     if x == 0.0:
         return log_q
@@ -186,9 +219,12 @@ def _mode_log_trace(r: float, s: float, x: float, alpha: float) -> float:
 
 
 def _divergence_witness(
-    r: ModeVector, s: ModeVector, x: Sequence[float], alpha: float
+    r: ModeVector, s: ModeVector, x: Sequence[float], alpha: float, exponents: tuple
 ) -> Optional[DivergenceWitness]:
-    """Why ``D_alpha`` diverges for ``alpha > 1``, or ``None`` when it is finite."""
+    """Why ``D_alpha`` diverges for ``alpha > 1``, or ``None`` when it is finite.
+
+    ``exponents`` is ``_exponents(r, s, alpha)``.
+    """
     bad = _violating_modes(r, s)
     if bad:
         return DivergenceWitness(
@@ -207,14 +243,15 @@ def _divergence_witness(
             mode=moved[0],
             detail=f"modes {moved} are distinct coherent states in rho and sigma",
         )
-    thr = alpha_threshold(r, s)
-    if alpha < thr.alpha_star:
+    ts, diverging = exponents
+    if not diverging:
         return None
-    j = thr.argmin_modes[0]
+    # the diverging mode with the smallest ratio s_j/(s_j-r_j), first on ties
+    j = min(diverging, key=lambda j: s[j - 1] / (s[j - 1] - r[j - 1]))
     return DivergenceWitness(
         kind="threshold",
         mode=j,
-        detail=f"alpha = {alpha} >= alpha* = {thr.alpha_star} = s_{j}/(s_{j}-r_{j})",
+        detail=f"alpha*r_{j} + (1-alpha)*s_{j} = {ts[j - 1]} <= 0 at alpha = {alpha}",
     )
 
 
@@ -228,11 +265,15 @@ def _d_alpha(
     """
     alpha = validate_order(alpha)
     _check_lengths(r, s)
+    exponents = _exponents(r, s, alpha)
     if alpha > 1.0:
-        w = _divergence_witness(r, s, x, alpha)
+        w = _divergence_witness(r, s, x, alpha, exponents)
         if w is not None:
             return ExtendedEntropy(math.inf, w)
-    log_q = sum(_mode_log_trace(rj, sj, xj, alpha) for rj, sj, xj in zip(r, s, x))
+    log_q = sum(
+        _mode_log_trace(rj, sj, xj, alpha, tj)
+        for rj, sj, xj, tj in zip(r, s, x, exponents[0])
+    )
     value = log_q / (alpha - 1.0)
     if not math.isfinite(value):
         raise ValueError(
@@ -252,7 +293,8 @@ def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntro
                   - sum log(1-e^{-(alpha r_j + (1-alpha) s_j)})  [both finite]``
 
     For ``alpha > 1`` the value is ``inf`` with a support witness when support
-    containment fails, and with a threshold witness when
+    containment fails, and with a threshold witness when some mode has
+    ``alpha r_j + (1-alpha) s_j <= 0`` in exact arithmetic, i.e.
     ``alpha >= alpha*`` (the boundary itself diverges: the exponent of the
     geometric series vanishes there).  For ``alpha`` in (0,1) the value is
     always finite; when support containment fails the sum simply loses the
@@ -267,12 +309,14 @@ def covariance_criterion(r: ModeVector, s: ModeVector, alpha: float) -> bool:
 
     Equivalent to the strict elementwise inequality between the covariance of
     the normalized ``alpha-1`` power of the second state and that of the
-    normalized ``alpha`` power of the first.  Both states must be faithful
-    (all inverse temperatures finite) and ``alpha > 1``.
+    normalized ``alpha`` power of the first, and to ``alpha r_j + (1-alpha) s_j
+    > 0``, which is decided exactly by the same predicate as the entropy's
+    verdict, so the two always agree.  Both states must be faithful (all
+    inverse temperatures finite) and ``alpha > 1``.
     """
     _check_lengths(r, s)
     if not (alpha > 1.0):
         raise ValueError(f"covariance criterion requires alpha > 1, got {alpha}")
     if any(math.isinf(t) for t in r) or any(math.isinf(t) for t in s):
         raise ValueError("covariance criterion requires faithful (finite) states")
-    return all((sj - rj) * alpha < sj for rj, sj in zip(r, s))
+    return not _exponents(r, s, alpha)[1]

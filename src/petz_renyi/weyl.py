@@ -39,10 +39,14 @@ __all__ = [
 ]
 
 _RESCALE = 1e250
+_LOG_MAX = math.log(1.7976931348623157e308)
 
 
 def laguerre(j: int, x: float) -> float:
-    """Laguerre polynomial ``L_j(x)`` for ``x >= 0``."""
+    """Laguerre polynomial ``L_j(x)`` for ``x >= 0``.
+
+    Raises ``ValueError`` when ``|L_j(x)|`` exceeds double range.
+    """
     if x < 0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     if j < 0:
@@ -50,6 +54,8 @@ def laguerre(j: int, x: float) -> float:
     sign, logabs = _laguerre_sign_log(j, x, m=0)
     if logabs == -math.inf:
         return 0.0
+    if logabs > _LOG_MAX:
+        raise ValueError(f"|L_{j}({x})| = e^{logabs} exceeds double range")
     return sign * math.exp(logabs)
 
 
@@ -143,13 +149,15 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
     The m-th interval is ``[(m pi / 2|u|)^2, (m pi / 2|u|)^2 + m pi^2/(4|u|^2)
     + pi^2/(16|u|^2)]``; any integer inside it satisfies the sine lower bound.
     Intervals are pairwise disjoint and increasing, so choosing the smallest
-    interior integer yields a strictly increasing witness sequence.
+    interior integer yields a strictly increasing witness sequence.  Raises
+    ``ValueError`` for a zero or non-finite ``u`` and where the intervals
+    leave double range (``|u|`` below about ``1.6e-150 m_max``).
     """
-    if u == 0:
-        raise ValueError("displacement must be nonzero")
+    x = _squared_modulus(u)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    x = abs(u) ** 2
+    if not m_max * math.pi / (2.0 * abs(u)) < 1e150:
+        raise ValueError(f"phase intervals leave double range at |u| = {abs(u)}")
     out: List[SineIntervalWitness] = []
     for m in range(1, m_max + 1):
         lo = (m * math.pi / (2.0 * abs(u))) ** 2
@@ -161,16 +169,28 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
     return out
 
 
+def _squared_modulus(u: complex) -> float:
+    """``|u|^2``; ``ValueError`` for ``u = 0`` or a non-finite ``|u|^2``."""
+    try:
+        x = abs(u) ** 2
+    except OverflowError:
+        x = math.inf
+    if u == 0 or not x < math.inf:
+        raise ValueError(f"displacement must be nonzero with |u|^2 finite, got u = {u}")
+    return x
+
+
 def default_fejer_constant(u: complex) -> float:
     """Half the Fejer main-term amplitude at the sine floor ``1/sqrt(2)``.
 
     The asymptotic amplitude of ``L_j(|u|^2)`` is ``e^{|u|^2/2} j^{-1/4} /
     sqrt(pi |u|)``; halving it at the sine floor leaves room for the
-    ``O(j^{-3/4})`` remainder.
+    ``O(j^{-3/4})`` remainder.  Raises ``ValueError`` when ``e^{|u|^2/2}``
+    exceeds double range (``|u|`` above about 37.7).
     """
-    if u == 0:
-        raise ValueError("displacement must be nonzero")
-    x = abs(u) ** 2
+    x = _squared_modulus(u)
+    if 0.5 * x > _LOG_MAX:
+        raise ValueError(f"e^(|u|^2/2) exceeds double range at |u| = {abs(u)}")
     return math.exp(0.5 * x) / (2.0 * math.sqrt(2.0 * math.pi * abs(u)))
 
 
@@ -185,8 +205,7 @@ def fejer_scan(
     With the default constant the qualifying set has positive density, so the
     count keeps growing with ``j_max`` (no saturation).
     """
-    if u == 0:
-        raise ValueError("displacement must be nonzero")
+    _squared_modulus(u)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if c is None:

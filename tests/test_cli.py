@@ -327,6 +327,42 @@ def test_weyl_scan_zero_displacement(states, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--u-re", "40", "--j-max", "2000"],
+        ["--u-re", "1e200"],
+        ["--u-re", "nan"],
+        ["--u-re", "1", "--u-im", "inf"],
+    ],
+)
+def test_weyl_scan_out_of_range_exits_two(argv, capsys):
+    code, out, err = run(capsys, ["weyl-scan", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and ("double range" in err or "finite" in err)
+
+
+def test_entropy_non_finite_displacement_exits_two(states, tmp_path, capsys):
+    for k, part in enumerate(["nan", "inf", "-inf"]):
+        rho = write_state(tmp_path, f"nf{k}.json", [1.0], [[part, 0]])
+        code, out, err = run(capsys, ["entropy", rho, states["sigma"], "--alpha", "1.5"])
+        assert code == 2
+        assert out == ""
+        assert "invalid state spec" in err and "finite" in err
+
+
+def test_sweep_non_finite_bounds_exit_two(states, capsys):
+    for lo, hi, name in (("0.5", "inf", "alpha-max"), ("-inf", "2", "alpha-min"), ("nan", "2", "alpha-min")):
+        code, out, err = run(
+            capsys,
+            ["sweep", states["rho"], states["sigma"], f"--alpha-min={lo}", f"--alpha-max={hi}"],
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {name} must be finite" in err
+
+
 def test_parse_errors_exit_two(states, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

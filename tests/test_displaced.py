@@ -1,6 +1,7 @@
 """Displaced-state entropy closed form, finiteness prediction, and witnesses."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,9 @@ def test_spec_validation():
     assert not spec([1.0, math.inf]).faithful
     with pytest.raises(ValueError):
         DisplacedThermalSpec(ModeVector([1.0]), [1.0, 2.0])
+    for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            spec([1.0, 2.0], [0.5, bad])
 
 
 def test_relative_displacement():
@@ -190,11 +194,13 @@ def test_beyond_double_range_raises():
     # the displacement term near e^780
     with pytest.raises(ValueError, match="beyond double range"):
         d_alpha_displaced(spec([50.0], [1.0]), spec([20.0]), 40.0)
-    # one ulp below alpha*, where alpha r + (1-alpha) s rounds to 0
+    # one ulp below alpha*, where the float sum alpha r + (1-alpha) s rounds
+    # to 0 but the exact one is 5.2e-15 > 0: a finite, representable value
+    # (60-digit mpmath closed form)
     r, s = 34.70756505448844, 39.1034927389866
     alpha = math.nextafter(s / (s - r), 0.0)
-    with pytest.raises(ValueError, match="beyond double range"):
-        d_alpha_thermal(ModeVector([r]), ModeVector([s]), alpha)
+    got = d_alpha_thermal(ModeVector([r]), ModeVector([s]), alpha)
+    assert got.value == pytest.approx(4.165382808107412, rel=1e-14)
 
 
 
@@ -282,18 +288,22 @@ orders = st.one_of(
 
 
 def expected_finite(r, s, u, alpha):
-    """Finiteness verdict from support containment and alpha*, written out."""
+    """Finiteness verdict from support containment and alpha*, written out.
+
+    ``alpha < s_j/(s_j - r_j)`` is tested as ``alpha (s_j - r_j) < s_j`` in
+    exact rational arithmetic.
+    """
     if alpha < 1.0:
         return True
     for rj, sj, uj in zip(r, s, u):
         if math.isinf(sj) and not (math.isinf(rj) and uj == 0):
             return False
-    ratios = [
-        sj / (sj - rj)
+    fa = Fraction(alpha)
+    return all(
+        fa * (Fraction(sj) - Fraction(rj)) < Fraction(sj)
         for rj, sj in zip(r, s)
-        if not math.isinf(rj) and not math.isinf(sj) and rj < sj
-    ]
-    return alpha < min(ratios, default=math.inf)
+        if not math.isinf(rj) and not math.isinf(sj)
+    )
 
 
 @given(

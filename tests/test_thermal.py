@@ -1,11 +1,14 @@
 """Closed-form thermal entropy, threshold, and covariance criterion."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from petz_renyi.displaced import DisplacedThermalSpec, predict_finiteness
 from petz_renyi.states import ModeVector, log1mexp
 from petz_renyi.thermal import (
     DivergenceWitness,
@@ -162,6 +165,8 @@ def test_alpha_threshold_support_violation():
 def test_support_contained():
     assert support_contained(ModeVector([math.inf]), ModeVector([1.0]))
     assert not support_contained(ModeVector([1.0]), ModeVector([math.inf]))
+    # the vacuum has empty support, contained in every state's
+    assert support_contained(ModeVector([math.inf]), ModeVector([math.inf]))
 
 
 def test_covariance_criterion_examples():
@@ -180,6 +185,27 @@ def test_covariance_criterion_preconditions():
         covariance_criterion(ModeVector([math.inf]), s, 1.5)
 
 
+def exact_finite(r, s, alpha):
+    """``alpha (s_j - r_j) < s_j`` for every mode, in exact rational arithmetic."""
+    fa = Fraction(alpha)
+    return all(fa * (Fraction(sj) - Fraction(rj)) < Fraction(sj) for rj, sj in zip(r, s))
+
+
+def mp_closed_form(r, s, alpha):
+    """60-digit ``D_alpha`` of thermal states, with each exponent formed exactly."""
+    with mp.workdps(60):
+        a = mp.mpf(alpha)
+        log_q = mp.mpf(0)
+        for rj, sj in zip(r, s):
+            t = Fraction(alpha) * Fraction(rj) + (1 - Fraction(alpha)) * Fraction(sj)
+            log_q += (
+                a * mp.log(-mp.expm1(-mp.mpf(rj)))
+                + (1 - a) * mp.log(-mp.expm1(-mp.mpf(sj)))
+                - mp.log(-mp.expm1(-mp.mpf(t.numerator) / t.denominator))
+            )
+        return float(log_q / (a - 1))
+
+
 @given(
     r=st.lists(finite_temps, min_size=1, max_size=3),
     s_seed=st.lists(finite_temps, min_size=3, max_size=3),
@@ -192,8 +218,57 @@ def test_finiteness_equivalence(r, s_seed, alpha):
     rv, sv = ModeVector(r), ModeVector(s)
     by_value = d_alpha_thermal(rv, sv, alpha).finite
     by_cov = covariance_criterion(rv, sv, alpha)
-    by_thr = alpha < alpha_threshold(rv, sv).alpha_star
+    # alpha < s_j/(s_j - r_j) wherever r_j < s_j, in exact rational arithmetic
+    by_thr = exact_finite(r, s, alpha)
     assert by_value == by_cov == by_thr
+
+
+boundary_temps = st.floats(0.01, 50)
+
+
+@given(
+    modes=st.sampled_from((1, 3)).flatmap(
+        lambda n: st.lists(st.tuples(boundary_temps, boundary_temps), min_size=n, max_size=n)
+    ),
+    ulps=st.integers(-2, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_boundary_verdict_is_exact(modes, ulps):
+    # at fl(alpha*) and 1 or 2 ulps either side, every verdict is the exact
+    # rational one, and every finite verdict comes with its value, not a refusal
+    r = [m[0] for m in modes]
+    s = [m[1] for m in modes]
+    alpha = alpha_threshold(ModeVector(r), ModeVector(s)).alpha_star
+    assume(math.isfinite(alpha))
+    for _ in range(abs(ulps)):
+        alpha = math.nextafter(alpha, math.copysign(math.inf, ulps))
+    assume(alpha > 1.0)
+    finite = exact_finite(r, s, alpha)
+    got = d_alpha_thermal(ModeVector(r), ModeVector(s), alpha)
+    assert got.finite == finite
+    assert covariance_criterion(ModeVector(r), ModeVector(s), alpha) == finite
+    assert predict_finiteness(DisplacedThermalSpec(r), DisplacedThermalSpec(s), alpha)[0] == finite
+    if finite:
+        assert got.value == pytest.approx(mp_closed_form(r, s, alpha), rel=1e-12)
+    else:
+        assert got.witness.kind == "threshold"
+
+
+def test_threshold_witness_states_the_exact_inequality():
+    got = d_alpha_thermal(ModeVector([1.0]), ModeVector([2.0]), 2.5)
+    assert got.witness.detail == "alpha*r_1 + (1-alpha)*s_1 = -0.5 <= 0 at alpha = 2.5"
+    # the diverging mode with the smallest ratio s_j/(s_j-r_j): mode 3 (4/3) before mode 1 (2)
+    got = d_alpha_thermal(ModeVector([1.0, 3.0, 0.5]), ModeVector([2.0, 2.0, 2.0]), 2.5)
+    assert got.witness.mode == 3
+    # ties go to the first mode
+    got = d_alpha_thermal(ModeVector([2.0, 1.0]), ModeVector([4.0, 2.0]), 3.0)
+    assert got.witness.mode == 1
+    # at fl(alpha*) the exact exponent of a diverging mode is negative, not rounded to 0
+    r, s = 34.70756505448844, 39.1034927389866
+    alpha = alpha_threshold(ModeVector([r]), ModeVector([s])).alpha_star
+    assert not exact_finite([r], [s], alpha)
+    got = d_alpha_thermal(ModeVector([r]), ModeVector([s]), alpha)
+    assert got.witness.detail.startswith("alpha*r_1 + (1-alpha)*s_1 = -2.59")
 
 
 @given(

@@ -149,6 +149,33 @@ def test_sine_interval_validation():
         sine_interval_indices(1.0, 0)
 
 
+def test_out_of_range_inputs_raise_value_error():
+    with pytest.raises(ValueError, match="double range"):
+        laguerre(500, 2000.0)
+    # e^{|u|^2/2} overflows beyond |u| ~ 37.7; |u|^2 itself beyond ~1.3e154
+    for u in (40.0, 1e200, complex(0.0, 1e200)):
+        with pytest.raises(ValueError):
+            default_fejer_constant(u)
+    for u in (math.nan, math.inf, complex(1.0, math.nan), 1e200):
+        with pytest.raises(ValueError, match="finite"):
+            sine_interval_indices(u, 5)
+        with pytest.raises(ValueError, match="finite"):
+            fejer_scan(u, 10, c=1e-3)
+    # phase intervals beyond double range for a tiny displacement
+    with pytest.raises(ValueError, match="double range"):
+        sine_interval_indices(1e-170, 3)
+    # the scan itself is fine there: |u|^2 underflows and every element is 1
+    assert fejer_scan(1e-170, 4, c=0.5) == [1, 2, 3, 4]
+
+
+def test_default_fejer_constant_value():
+    # e^{1/2} / (2 sqrt(2 pi)) at |u| = 1, bit for bit
+    assert default_fejer_constant(1) == math.exp(0.5) / (2.0 * math.sqrt(2.0 * math.pi))
+    assert default_fejer_constant(37.0) == pytest.approx(
+        math.exp(684.5) / (2.0 * math.sqrt(74.0 * math.pi)), rel=1e-14
+    )
+
+
 def test_fejer_scan_density():
     hits = fejer_scan(1.0, 1000)
     assert len(hits) >= 100
