@@ -311,12 +311,8 @@ def cmd_validate(args) -> int:
 
 def cmd_weyl_scan(args) -> int:
     u = complex(args.u_re, args.u_im)
-    if u == 0:
-        raise CliError("displacement must be nonzero")
     witnesses = sine_interval_indices(u, args.m_max)
     c = args.c if args.c is not None else default_fejer_constant(u)
-    if not (c > 0.0):
-        raise CliError(f"constant must be positive, got {c}")
     qualifying = fejer_scan(u, args.j_max, c)
     wit_records = []
     for w in witnesses:

@@ -29,14 +29,15 @@ from .states import ModeVector
 from .thermal import (
     DivergenceWitness,
     ExtendedEntropy,
+    SupportViolation,
     ThresholdResult,
     _d_alpha,
-    _exponents,
+    _gated_exponents,
     alpha_threshold,
     covariance_criterion,
     validate_order,
 )
-from .weyl import fejer_scan, weyl_diag_sequence
+from .weyl import _fejer_hits, weyl_diag_sequence
 
 __all__ = [
     "DisplacedThermalSpec",
@@ -113,14 +114,6 @@ def relative_displacement(
     return tuple(a - b for a, b in zip(rho.displacement, sigma.displacement))
 
 
-def _require_faithful(rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec) -> None:
-    if not (rho.faithful and sigma.faithful):
-        raise ValueError(
-            "the threshold and covariance tests above order one need faithful "
-            "states; d_alpha_displaced decides vacuum modes exactly"
-        )
-
-
 def predict_finiteness(
     rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float
 ) -> Tuple[bool, Optional[ThresholdResult]]:
@@ -128,54 +121,47 @@ def predict_finiteness(
 
     Finite iff ``alpha r_j + (1-alpha) s_j > 0`` for every mode, decided
     exactly (``alpha < alpha*``; the returned threshold is reported, not
-    compared).  Orders in (0,1) are always finite; there the threshold is
-    attached only when support containment makes it well defined.
+    compared); above order one both states must be faithful.  Orders in
+    (0,1) are always finite; there the threshold is attached only when
+    support containment makes it well defined.
     """
     alpha = validate_order(alpha)
-    relative_displacement(rho, sigma)  # length check
     if alpha > 1.0:
-        _require_faithful(rho, sigma)
-        thr = alpha_threshold(rho.temps, sigma.temps)
-        return not _exponents(rho.temps, sigma.temps, alpha)[1], thr
+        finite = not _gated_exponents(rho.temps, sigma.temps, alpha)[1]
+        return finite, alpha_threshold(rho.temps, sigma.temps)
     try:
-        thr = alpha_threshold(rho.temps, sigma.temps)
-    except ValueError:
-        thr = None
-    return True, thr
+        return True, alpha_threshold(rho.temps, sigma.temps)
+    except SupportViolation:
+        return True, None
 
 
 def covariance_equivalence(
     rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float
 ) -> bool:
-    """Covariance finiteness test; displacement leaves covariance untouched."""
-    _require_faithful(rho, sigma)
+    """Covariance test on the temperatures; displacement leaves covariance untouched."""
     return covariance_criterion(rho.temps, sigma.temps, alpha)
 
 
+_WITNESS_SCAN = 1024
+_WITNESS_SAMPLE = 16
+
+
 def diagonal_divergence_witness(
-    r: ModeVector,
-    s: ModeVector,
-    u: Sequence[complex],
-    alpha: float,
-    sample_size: int = 16,
-    scan_max: int = 1024,
+    r: ModeVector, s: ModeVector, u: Sequence[complex], alpha: float
 ) -> Optional[DivergenceWitness]:
     """Witness divergence through the diagonal subseries of one mode.
 
     If some mode has ``alpha r + (1-alpha) s <= 0``, its diagonal series terms
     ``e^{-k (alpha r + (1-alpha) s)} |<W(u) k|k>|^2`` do not decay: along the
-    scan indices the squared element is bounded below by ``C / k^{3/4}`` while
-    the exponential factor is nondecreasing.  Returns ``None`` when every
-    exponent is positive (the convergent regime).
+    Fejer scan indices ``k <= 1024`` the squared element is bounded below by
+    ``C^2 / k^{3/4}`` while the exponential factor is nondecreasing.  One
+    Laguerre pass yields both the scan and the (at most 16) sampled indices.
+    Returns ``None`` when every exponent is positive (the convergent regime).
+    Preconditions are those of :func:`covariance_criterion`.
     """
-    alpha = validate_order(alpha)
-    if not (alpha > 1.0):
-        raise ValueError(f"diagonal witness applies to alpha > 1, got {alpha}")
-    if len(u) != len(r) or len(r) != len(s):
-        raise ValueError("mode counts differ")
-    if any(math.isinf(t) for t in r) or any(math.isinf(t) for t in s):
-        raise ValueError("diagonal witness requires faithful states")
-    ts, bad = _exponents(r, s, alpha)
+    ts, bad = _gated_exponents(r, s, alpha)
+    if len(u) != len(r):
+        raise ValueError(f"mode counts differ: {len(u)} displacements, {len(r)} modes")
     if not bad:
         return None
     j = min(bad, key=lambda j: ts[j - 1])  # the most negative exponent, first on ties
@@ -183,21 +169,18 @@ def diagonal_divergence_witness(
     uj = complex(u[j - 1])
     if uj == 0:
         # every diagonal element is 1; sample arbitrary indices
-        sample = tuple(2**i for i in range(sample_size))
+        sample = tuple(2**i for i in range(_WITNESS_SAMPLE))
     else:
-        # squared-amplitude form: |<k|W(u)|k>|^2 >= C^2 / k^{3/4} on the scan
-        # indices, with C half the Fejer amplitude of the damped element
-        # e^{-|u|^2/2} L_k(|u|^2) at the sine floor; keep those whose series
-        # term has already reached 1, which is all but a short burn-in when
-        # the exponent is negative
+        # the sequence refuses a non-finite |u_j|^2 before C is formed.  C is
+        # half the Fejer amplitude of the damped element e^{-|u|^2/2} L_k(|u|^2)
+        # at the sine floor; keep the hits whose series term has already
+        # reached 1, which is all but a short burn-in when the exponent is
+        # negative
+        diag = np.abs(weyl_diag_sequence(_WITNESS_SCAN, uj))
         c = 1.0 / (2.0 * math.sqrt(2.0 * math.pi * abs(uj)))
-        hits = fejer_scan(uj, scan_max, c, exponent=0.375)
-        diag = np.abs(weyl_diag_sequence(scan_max, uj))
-        with np.errstate(divide="ignore"):
-            evident = [
-                k for k in hits if -expo * k + 2.0 * np.log(diag[k]) >= 0.0
-            ]
-        sample = tuple((evident or hits)[:sample_size])
+        hits = _fejer_hits(diag, c)
+        evident = [k for k in hits if -expo * k + 2.0 * np.log(diag[k]) >= 0.0]
+        sample = tuple((evident or hits)[:_WITNESS_SAMPLE])
     return DivergenceWitness(
         kind="diagonal-subseries",
         mode=j,

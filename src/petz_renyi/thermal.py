@@ -168,14 +168,19 @@ def _exponents(
         a = alpha * rj
         b = (1.0 - alpha) * sj
         t = a + b
-        if abs(t) <= _EXACT_BAND * (abs(a) + abs(b)):
-            # doubles are dyadic rationals, so t is formed exactly.  Imported
-            # here: inputs off the boundary never need it, and a module-level
-            # import would add milliseconds to every CLI process
+        if not math.isfinite(t) or abs(t) <= _EXACT_BAND * (abs(a) + abs(b)):
+            # doubles are dyadic rationals, so t is formed exactly, also where
+            # a product overflowed.  Imported here: inputs off the boundary never
+            # need it, and a module-level import would add milliseconds to every
+            # CLI process
             from fractions import Fraction
 
             fa = Fraction(alpha)
-            t = float(fa * Fraction(rj) + (1 - fa) * Fraction(sj))
+            exact = fa * Fraction(rj) + (1 - fa) * Fraction(sj)
+            try:
+                t = float(exact)
+            except OverflowError:
+                t = math.inf if exact > 0 else -math.inf
         ts.append(t)
     return tuple(ts), tuple(j + 1 for j, t in enumerate(ts) if t <= 0.0)
 
@@ -304,6 +309,18 @@ def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntro
     return _d_alpha(r, s, (0.0,) * len(r), alpha)
 
 
+def _gated_exponents(r: ModeVector, s: ModeVector, alpha: float) -> tuple:
+    """:func:`_exponents` behind the finiteness tests' one precondition check:
+    an order above one, equal mode counts and faithful states."""
+    alpha = validate_order(alpha)
+    _check_lengths(r, s)
+    if not alpha > 1.0:
+        raise ValueError(f"finiteness tests apply to alpha > 1, got {alpha}")
+    if not all(map(math.isfinite, (*r, *s))):
+        raise ValueError("finiteness tests need faithful (finite-temperature) states")
+    return _exponents(r, s, alpha)
+
+
 def covariance_criterion(r: ModeVector, s: ModeVector, alpha: float) -> bool:
     """Covariance test for finiteness: ``(s_j - r_j) * alpha < s_j`` for all j.
 
@@ -312,11 +329,6 @@ def covariance_criterion(r: ModeVector, s: ModeVector, alpha: float) -> bool:
     normalized ``alpha`` power of the first, and to ``alpha r_j + (1-alpha) s_j
     > 0``, which is decided exactly by the same predicate as the entropy's
     verdict, so the two always agree.  Both states must be faithful (all
-    inverse temperatures finite) and ``alpha > 1``.
+    inverse temperatures finite), with equal mode counts, and ``alpha > 1``.
     """
-    _check_lengths(r, s)
-    if not (alpha > 1.0):
-        raise ValueError(f"covariance criterion requires alpha > 1, got {alpha}")
-    if any(math.isinf(t) for t in r) or any(math.isinf(t) for t in s):
-        raise ValueError("covariance criterion requires faithful (finite) states")
-    return not _exponents(r, s, alpha)[1]
+    return not _gated_exponents(r, s, alpha)[1]

@@ -87,16 +87,12 @@ def _laguerre_sign_log(n: int, x: float, m: int = 0) -> Tuple[float, float]:
 
 def weyl_diag(j: int, u: complex) -> float:
     """Diagonal matrix element ``<j|W(u)|j> = e^{-|u|^2/2} L_j(|u|^2)`` (real)."""
-    x = abs(u) ** 2
-    sign, logabs = _laguerre_sign_log(j, x, m=0)
-    if logabs == -math.inf:
-        return 0.0
-    return sign * math.exp(logabs - 0.5 * x)
+    return weyl_element(j, j, u).real
 
 
 def weyl_diag_sequence(jmax: int, u: complex) -> np.ndarray:
     """``weyl_diag(j, u)`` for all ``j <= jmax`` in one recurrence pass."""
-    x = abs(u) ** 2
+    x = _element_modulus(jmax, u)
     pairs = itertools.chain.from_iterable(_laguerre_run(jmax, x))
     v, offset = np.fromiter(pairs, float, 2 * (jmax + 1)).reshape(-1, 2).T
     with np.errstate(divide="ignore"):
@@ -113,9 +109,7 @@ def weyl_element(row: int, col: int, u: complex) -> complex:
     and the adjoint relation ``W(u)^dagger = W(-u)`` supplies the lower
     triangle.  Validated against the dense matrix exponential oracle.
     """
-    if row < 0 or col < 0:
-        raise ValueError("Fock indices must be nonnegative")
-    x = abs(u) ** 2
+    x = _element_modulus(min(row, col), u)
     if u == 0:
         return 1.0 + 0.0j if row == col else 0.0j
     n, big = (col, row) if row >= col else (row, col)
@@ -169,6 +163,14 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
     return out
 
 
+def _element_modulus(j: int, u: complex) -> float:
+    """``|u|^2`` for degree-``j`` elements, checked as by :func:`_squared_modulus`
+    except that ``u = 0`` passes."""
+    if j < 0:
+        raise ValueError(f"degree must be nonnegative, got {j}")
+    return 0.0 if u == 0 else _squared_modulus(u)
+
+
 def _squared_modulus(u: complex) -> float:
     """``|u|^2``; ``ValueError`` for ``u = 0`` or a non-finite ``|u|^2``."""
     try:
@@ -194,25 +196,28 @@ def default_fejer_constant(u: complex) -> float:
     return math.exp(0.5 * x) / (2.0 * math.sqrt(2.0 * math.pi * abs(u)))
 
 
-def fejer_scan(
-    u: complex,
-    j_max: int,
-    c: Optional[float] = None,
-    exponent: float = 0.375,
-) -> List[int]:
-    """Indices ``1 <= j <= j_max`` with ``|<j|W(u)|j>| >= c * j^{-exponent}``.
+# the bound c j^{-3/8} decays faster than the Fejer main term's j^{-1/4}
+_FEJER_EXPONENT = 0.375
+
+
+def _fejer_hits(mags: np.ndarray, c: float) -> List[int]:
+    """Indices ``j >= 1`` with ``mags[j] = |<j|W(u)|j>| >= c * j^{-3/8}``."""
+    j = np.arange(1, len(mags), dtype=float)
+    ok = mags[1:] >= c * j ** (-_FEJER_EXPONENT)
+    return [int(i) for i in np.nonzero(ok)[0] + 1]
+
+
+def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
+    """Indices ``1 <= j <= j_max`` with ``|<j|W(u)|j>| >= c * j^{-3/8}``.
 
     With the default constant the qualifying set has positive density, so the
     count keeps growing with ``j_max`` (no saturation).
     """
     _squared_modulus(u)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
     if c is None:
         c = default_fejer_constant(u)
     if not (c > 0.0):
         raise ValueError(f"constant must be positive, got {c}")
-    vals = np.abs(weyl_diag_sequence(j_max, u))
-    j = np.arange(1, j_max + 1, dtype=float)
-    ok = vals[1:] >= c * j ** (-exponent)
-    return [int(i) for i in np.nonzero(ok)[0] + 1]
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    return _fejer_hits(np.abs(weyl_diag_sequence(j_max, u)), c)

@@ -40,6 +40,33 @@ PUBLIC_NAMES = [
     "weyl_element",
 ]
 
+# parameter names of every public function, in order
+PUBLIC_SIGNATURES = {
+    "alpha_threshold": ("r", "s"),
+    "annihilation_matrix": ("n",),
+    "covariance": ("s", "alpha"),
+    "covariance_criterion": ("r", "s", "alpha"),
+    "covariance_equivalence": ("rho", "sigma", "alpha"),
+    "d_alpha_displaced": ("rho", "sigma", "alpha"),
+    "d_alpha_thermal": ("r", "s", "alpha"),
+    "default_fejer_constant": ("u",),
+    "diagonal_divergence_witness": ("r", "s", "u", "alpha"),
+    "displacement_matrix": ("u", "n"),
+    "fejer_scan": ("u", "j_max", "c"),
+    "laguerre": ("j", "x"),
+    "log1mexp": ("x",),
+    "oracle_trace": ("rho", "sigma", "alpha", "n"),
+    "predict_finiteness": ("rho", "sigma", "alpha"),
+    "relative_displacement": ("rho", "sigma"),
+    "sine_interval_indices": ("u", "m_max"),
+    "support_contained": ("r", "s"),
+    "thermal_matrix": ("s", "n"),
+    "validate_order": ("alpha",),
+    "weyl_diag": ("j", "u"),
+    "weyl_diag_sequence": ("jmax", "u"),
+    "weyl_element": ("row", "col", "u"),
+}
+
 
 def test_public_names_are_pinned():
     # submodules are attributes of the package too, but not exports
@@ -56,3 +83,12 @@ def test_every_public_name_imports_from_the_package():
         namespace = {}
         exec(f"from petz_renyi import {name}", namespace)
         assert namespace[name] is getattr(petz_renyi, name)
+
+
+def test_public_signatures_are_pinned():
+    functions = {
+        name: tuple(inspect.signature(getattr(petz_renyi, name)).parameters)
+        for name in PUBLIC_NAMES
+        if inspect.isfunction(getattr(petz_renyi, name))
+    }
+    assert functions == PUBLIC_SIGNATURES

@@ -146,6 +146,27 @@ def test_entropy_large_finite_value(tmp_path, capsys):
     assert float(json.loads(out)["value"]) == pytest.approx(12153.508146104568, rel=1e-12)
 
 
+def test_overflowing_exponent_products_decided(tmp_path, capsys):
+    # alpha r overflows; these used to end in an OverflowError traceback
+    big = write_state(tmp_path, "big.json", [1e300])
+    tiny = write_state(tmp_path, "tiny.json", [1e-300])
+    code, out, _ = run(capsys, ["entropy", big, tiny, "--alpha", "1e10"])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(300.0 * math.log(10.0), rel=1e-15)
+    code, out, _ = run(capsys, ["entropy", big, big, "--alpha", "1e10"])
+    assert code == 0
+    assert json.loads(out)["value"] == 0
+    code, out, _ = run(capsys, ["entropy", tiny, big, "--alpha", "1e10"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["value"] == "inf" and rec["witness"]["kind"] == "threshold"
+    for pair in ((big, tiny), (tiny, big)):
+        argv = ["sweep", *pair, "--alpha-min", "0.5", "--alpha-max", "1e10", "--steps", "5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(out.splitlines()) == 6
+
+
 def test_entropy_beyond_double_range_exits_two(tmp_path, capsys):
     rho = write_state(tmp_path, "r.json", [50.0], [[1.0, 0.0]])
     sigma = write_state(tmp_path, "s.json", [20.0])
@@ -322,9 +343,14 @@ def test_weyl_scan(states, capsys):
 
 
 def test_weyl_scan_zero_displacement(states, capsys):
-    code, _, err = run(capsys, ["weyl-scan", "--j-max", "100"])
+    code, out, err = run(capsys, ["weyl-scan", "--j-max", "100"])
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err == "error: displacement must be nonzero with |u|^2 finite, got u = 0j\n"
+    code, out, err = run(capsys, ["weyl-scan", "--u-re", "1", "--c", "0", "--j-max", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: constant must be positive, got 0.0\n"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from petz_renyi.displaced import (
 )
 from petz_renyi.oracle import oracle_trace
 from petz_renyi.states import ModeVector
+from petz_renyi import weyl
 from petz_renyi.thermal import d_alpha_thermal
 from petz_renyi.weyl import weyl_diag, weyl_diag_sequence, weyl_element
 
@@ -227,6 +228,35 @@ def test_diagonal_witness_large_displacement(u, alpha):
     for k in w.sample_indices:
         # log of the series term e^{-expo k} |<k|W(u)|k>|^2 is nonnegative
         assert -w.exponent * k + 2.0 * math.log(abs(diag[k])) >= 0.0
+
+
+def test_diagonal_witness_reads_one_laguerre_pass(monkeypatch):
+    calls = []
+    run = weyl._laguerre_run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "_laguerre_run", counted)
+    r, s = ModeVector([1.0, 0.5]), ModeVector([2.0, 1.0])
+    w = diagonal_divergence_witness(r, s, [1.0, 2 - 1j], 3.0)
+    assert w.sample_indices
+    assert len(calls) == 1
+
+
+def test_diagonal_witness_preconditions():
+    r, s = ModeVector([1.0]), ModeVector([2.0])
+    for u in (math.nan, math.inf, 1e200, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            diagonal_divergence_witness(r, s, [u], 3.0)
+    for alpha in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            diagonal_divergence_witness(r, s, [1.0], alpha)
+    with pytest.raises(ValueError, match="faithful"):
+        diagonal_divergence_witness(r, ModeVector([math.inf]), [1.0], 3.0)
+    with pytest.raises(ValueError, match="mode counts"):
+        diagonal_divergence_witness(r, s, [1.0, 1.0], 3.0)
 
 
 def test_diagonal_witness_zero_displacement_samples():

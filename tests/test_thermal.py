@@ -8,7 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from petz_renyi.displaced import DisplacedThermalSpec, predict_finiteness
+from petz_renyi.displaced import (
+    DisplacedThermalSpec,
+    covariance_equivalence,
+    predict_finiteness,
+)
 from petz_renyi.states import ModeVector, log1mexp
 from petz_renyi.thermal import (
     DivergenceWitness,
@@ -183,6 +187,30 @@ def test_covariance_criterion_preconditions():
         covariance_criterion(r, s, 0.5)
     with pytest.raises(ValueError):
         covariance_criterion(ModeVector([math.inf]), s, 1.5)
+    with pytest.raises(ValueError, match="mode counts"):
+        covariance_criterion(r, ModeVector([2.0, 2.0]), 1.5)
+    # every large order diverges for r=1, s=2 (alpha* = 2): no verdict at inf
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="order must lie"):
+            covariance_criterion(r, s, alpha)
+        with pytest.raises(ValueError, match="order must lie"):
+            covariance_equivalence(DisplacedThermalSpec(r), DisplacedThermalSpec(s), alpha)
+    with pytest.raises(ValueError, match="faithful"):
+        covariance_equivalence(DisplacedThermalSpec(r), DisplacedThermalSpec([math.inf]), 1.5)
+
+
+def test_overflowing_exponent_products():
+    # alpha r and (1-alpha) s overflow; the exact exponent decides and, beyond
+    # double range, rounds to +-inf
+    big, tiny = ModeVector([1e300]), ModeVector([1e-300])
+    got = d_alpha_thermal(big, tiny, 1e10)
+    assert got.value == pytest.approx(300.0 * math.log(10.0), rel=1e-15)
+    assert d_alpha_thermal(big, big, 1e10).value == 0.0
+    swapped = d_alpha_thermal(tiny, big, 1e10)
+    assert not swapped.finite
+    assert swapped.witness.kind == "threshold"
+    assert not covariance_criterion(tiny, big, 1e10)
+    assert covariance_criterion(big, tiny, 1e10)
 
 
 def exact_finite(r, s, alpha):

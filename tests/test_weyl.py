@@ -74,6 +74,30 @@ def test_weyl_element_diagonal_consistency():
             assert el.real == pytest.approx(weyl_diag(j, u), rel=1e-12, abs=1e-300)
 
 
+def test_weyl_elements_check_degree_and_displacement():
+    helpers = (
+        weyl_diag,
+        weyl_diag_sequence,
+        lambda j, u: weyl_element(j, j, u),
+        lambda j, u: weyl_element(j + 1, j, u),
+    )
+    for f in helpers:
+        with pytest.raises(ValueError, match="degree"):
+            f(-1, 1.0)
+        for u in (1e200, complex(0.0, 1e200), math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                f(2, u)
+    # u = 0 is valid: the identity
+    assert weyl_diag(5, 0) == 1.0
+    assert list(weyl_diag_sequence(3, 0)) == [1.0] * 4
+
+
+def test_weyl_diag_is_the_element_diagonal():
+    for u in (0, 1e-170, 0.3, 1 + 1j, 7j, 12.0):
+        for j in (0, 1, 17, 150):
+            assert weyl_diag(j, u) == weyl_element(j, j, u).real
+
+
 def test_weyl_element_identity_at_zero():
     assert weyl_element(2, 2, 0) == 1.0
     assert weyl_element(3, 2, 0) == 0.0
