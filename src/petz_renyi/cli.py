@@ -17,10 +17,8 @@ import sys
 from typing import List, Optional
 
 from .displaced import DisplacedThermalSpec, d_alpha_displaced
-from .oracle import oracle_trace
 from .states import ModeVector
 from .thermal import _threshold_scan, _violating_modes, alpha_threshold
-from .weyl import default_fejer_constant, fejer_scan, sine_interval_indices
 
 __all__ = ["main"]
 
@@ -225,6 +223,8 @@ def _default_validation_cases():
 
 
 def cmd_validate(args) -> int:
+    from .oracle import oracle_trace  # imported here: only this command needs numpy
+
     if args.case == "default":
         thermal_case, displaced_case = _default_validation_cases()
         cases = [("thermal", *thermal_case), ("displaced", *displaced_case)]
@@ -310,6 +310,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_weyl_scan(args) -> int:
+    # imported here: weyl needs numpy, which no other command but validate loads
+    from .weyl import default_fejer_constant, fejer_scan, sine_interval_indices
+
     u = complex(args.u_re, args.u_im)
     witnesses = sine_interval_indices(u, args.m_max)
     c = args.c if args.c is not None else default_fejer_constant(u)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .states import ModeVector
 from .thermal import (
     DivergenceWitness,
@@ -37,7 +35,6 @@ from .thermal import (
     covariance_criterion,
     validate_order,
 )
-from .weyl import _fejer_hits, weyl_diag_sequence
 
 __all__ = [
     "DisplacedThermalSpec",
@@ -159,6 +156,10 @@ def diagonal_divergence_witness(
     Returns ``None`` when every exponent is positive (the convergent regime).
     Preconditions are those of :func:`covariance_criterion`.
     """
+    import numpy as np  # imported here: the closed forms and the CLI never need it
+
+    from .weyl import _fejer_hits, weyl_diag_sequence
+
     ts, bad = _gated_exponents(r, s, alpha)
     if len(u) != len(r):
         raise ValueError(f"mode counts differ: {len(u)} displacements, {len(r)} modes")

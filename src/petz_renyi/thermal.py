@@ -147,6 +147,17 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
 # t is formed exactly where |t| <= _EXACT_BAND (|alpha r| + |(1-alpha) s|): far wider
 # than the float sum's few-ulp error, since log1mexp(t) needs t to full relative accuracy
 _EXACT_BAND = 2.0**-20
+# where |x + y| <= _CANCEL_BAND (|x| + |y|), x + y is exact but the errors of x and y dominate
+_CANCEL_BAND = 2.0**-4
+_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+
+
+def _product_error(x: float, y: float, p: float) -> float:
+    """The exact ``x*y - p`` for ``p = fl(x*y)`` (Dekker's TwoProduct, without fma)."""
+    cx, cy = _SPLITTER * x, _SPLITTER * y
+    xh, yh = cx - (cx - x), cy - (cy - y)
+    xl, yl = x - xh, y - yh
+    return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def _exponents(
@@ -168,19 +179,23 @@ def _exponents(
         a = alpha * rj
         b = (1.0 - alpha) * sj
         t = a + b
-        if not math.isfinite(t) or abs(t) <= _EXACT_BAND * (abs(a) + abs(b)):
-            # doubles are dyadic rationals, so t is formed exactly, also where
-            # a product overflowed.  Imported here: inputs off the boundary never
-            # need it, and a module-level import would add milliseconds to every
-            # CLI process
-            from fractions import Fraction
+        if not abs(t) > _CANCEL_BAND * (abs(a) + abs(b)):  # a nan t too
+            # a + b is exact (Sterbenz); adding both products' exact low parts leaves
+            # one rounding in t (nan if a split overflows: the exact branch takes it)
+            t += _product_error(alpha, rj, a) + _product_error(1.0 - alpha, sj, b)
+            if not math.isfinite(t) or abs(t) <= _EXACT_BAND * (abs(a) + abs(b)):
+                # doubles are dyadic rationals, so t is formed exactly, also where
+                # a product overflowed.  Imported here: inputs off the boundary never
+                # need it, and a module-level import would add milliseconds to every
+                # CLI process
+                from fractions import Fraction
 
-            fa = Fraction(alpha)
-            exact = fa * Fraction(rj) + (1 - fa) * Fraction(sj)
-            try:
-                t = float(exact)
-            except OverflowError:
-                t = math.inf if exact > 0 else -math.inf
+                fa = Fraction(alpha)
+                exact = fa * Fraction(rj) + (1 - fa) * Fraction(sj)
+                try:
+                    t = float(exact)
+                except OverflowError:
+                    t = math.inf if exact > 0 else -math.inf
         ts.append(t)
     return tuple(ts), tuple(j + 1 for j, t in enumerate(ts) if t <= 0.0)
 
@@ -213,7 +228,12 @@ def _mode_log_trace(r: float, s: float, x: float, alpha: float, t: float) -> flo
         return -x  # overlap of two coherent states
     a = alpha * r
     b = (1.0 - alpha) * s
-    log_q = alpha * log1mexp(r) + (1.0 - alpha) * log1mexp(s) - log1mexp(t)
+    lr, ls = alpha * log1mexp(r), (1.0 - alpha) * log1mexp(s)
+    if alpha > 1.0 and abs(lr + ls) <= _CANCEL_BAND * (ls - lr):  # lr <= 0 <= ls
+        # they cancel (large alpha, r near s): log1mexp(s) + alpha log((1-e^-r)/(1-e^-s))
+        gap = math.copysign(math.exp(-min(r, s)) * -math.expm1(-abs(r - s)), r - s)
+        lr, ls = alpha * math.log1p(gap / -math.expm1(-s)), log1mexp(s)
+    log_q = lr + ls - log1mexp(t)
     if x == 0.0:
         return log_q
     if alpha < 1.0:

@@ -1,6 +1,12 @@
 """The public names of the package, pinned so an export change is deliberate."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import petz_renyi
 
@@ -92,3 +98,35 @@ def test_public_signatures_are_pinned():
         if inspect.isfunction(getattr(petz_renyi, name))
     }
     assert functions == PUBLIC_SIGNATURES
+
+
+def test_all_lists_the_public_names():
+    assert petz_renyi.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from petz_renyi import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC_NAMES} == {
+        name: getattr(petz_renyi, name) for name in PUBLIC_NAMES
+    }
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(petz_renyi, "no_such_name")
+    assert not hasattr(petz_renyi, "no_such_name")
+
+
+def test_package_import_loads_numpy_only_on_demand():
+    # numpy is loaded in this process already; a new interpreter shows the import cost
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    program = (
+        "import sys, petz_renyi\n"
+        "assert 'numpy' not in sys.modules, 'import petz_renyi loaded numpy'\n"
+        "petz_renyi.d_alpha_thermal\n"
+        "assert 'numpy' not in sys.modules, 'the thermal closed form loaded numpy'\n"
+        "petz_renyi.oracle_trace\n"
+        "assert 'numpy' in sys.modules, 'the oracle did not load numpy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
