@@ -147,7 +147,7 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
 # t is formed exactly where |t| <= _EXACT_BAND (|alpha r| + |(1-alpha) s|): far wider
 # than the float sum's few-ulp error, since log1mexp(t) needs t to full relative accuracy
 _EXACT_BAND = 2.0**-20
-# where |x + y| <= _CANCEL_BAND (|x| + |y|), x + y is exact but the errors of x and y dominate
+# where |a + b| <= _CANCEL_BAND (|a| + |b|), a + b is exact but the errors of a and b dominate
 _CANCEL_BAND = 2.0**-4
 _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 
@@ -228,12 +228,7 @@ def _mode_log_trace(r: float, s: float, x: float, alpha: float, t: float) -> flo
         return -x  # overlap of two coherent states
     a = alpha * r
     b = (1.0 - alpha) * s
-    lr, ls = alpha * log1mexp(r), (1.0 - alpha) * log1mexp(s)
-    if alpha > 1.0 and abs(lr + ls) <= _CANCEL_BAND * (ls - lr):  # lr <= 0 <= ls
-        # they cancel (large alpha, r near s): log1mexp(s) + alpha log((1-e^-r)/(1-e^-s))
-        gap = math.copysign(math.exp(-min(r, s)) * -math.expm1(-abs(r - s)), r - s)
-        lr, ls = alpha * math.log1p(gap / -math.expm1(-s)), log1mexp(s)
-    log_q = lr + ls - log1mexp(t)
+    log_q = alpha * log1mexp(r) + (1.0 - alpha) * log1mexp(s) - log1mexp(t)
     if x == 0.0:
         return log_q
     if alpha < 1.0:

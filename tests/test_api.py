@@ -1,10 +1,6 @@
 """The public names of the package, pinned so an export change is deliberate."""
 
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -115,11 +111,7 @@ def test_unknown_names_raise_attribute_error():
     assert not hasattr(petz_renyi, "no_such_name")
 
 
-def test_package_import_loads_numpy_only_on_demand():
-    # numpy is loaded in this process already; a new interpreter shows the import cost
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+def test_package_import_loads_numpy_only_on_demand(fresh_python):
     program = (
         "import sys, petz_renyi\n"
         "assert 'numpy' not in sys.modules, 'import petz_renyi loaded numpy'\n"
@@ -128,5 +120,5 @@ def test_package_import_loads_numpy_only_on_demand():
         "petz_renyi.oracle_trace\n"
         "assert 'numpy' in sys.modules, 'the oracle did not load numpy'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env)
+    proc = fresh_python(program)
     assert proc.returncode == 0, proc.stderr

@@ -2,10 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -424,28 +420,27 @@ def test_parse_errors_exit_two(states, tmp_path, capsys):
     assert "error:" in err
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-# runs the CLI in a fresh interpreter, then reports on stderr whether numpy was loaded
+# runs the CLI, then reports on stderr whether numpy was loaded
 FRESH_CLI = (
     "import sys; from petz_renyi.cli import main; code = main(sys.argv[1:]); "
     "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
 )
 
 
-def run_fresh(argv):
+@pytest.fixture
+def run_fresh(fresh_python):
     """Exit code and whether numpy was loaded, for one CLI call in a new process."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_CLI, *argv], capture_output=True, text=True, env=env
-    )
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("numpy loaded: "), proc.stderr
-    return proc.returncode, last == "numpy loaded: True"
+
+    def run(argv):
+        proc = fresh_python(FRESH_CLI, *argv)
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("numpy loaded: "), proc.stderr
+        return proc.returncode, last == "numpy loaded: True"
+
+    return run
 
 
-def test_closed_form_commands_leave_numpy_unloaded(states, tmp_path):
-    # the pytest process has numpy loaded already, so only a new process can show this
+def test_closed_form_commands_leave_numpy_unloaded(states, tmp_path, run_fresh):
     bad = tmp_path / "bad.json"
     bad.write_text('{"temps": [1.0, 2.0')
     rho, sigma, moved = states["rho"], states["sigma"], states["rho_disp"]
@@ -461,7 +456,7 @@ def test_closed_form_commands_leave_numpy_unloaded(states, tmp_path):
         assert run_fresh(argv) == (expected, False), what
 
 
-def test_numpy_commands_load_it_on_demand():
+def test_numpy_commands_load_it_on_demand(run_fresh):
     # below the default dimension the truncation error fails the check (exit 1)
     assert run_fresh(["validate", "--dim", "96"]) == (0, True)
     assert run_fresh(["weyl-scan", "--u-re", "1", "--j-max", "200"]) == (0, True)
