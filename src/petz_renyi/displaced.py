@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .states import ModeVector
+from .states import ModeVector, Record
 from .thermal import (
     DivergenceWitness,
-    ExtendedEntropy,
     SupportViolation,
     ThresholdResult,
     _d_alpha,
@@ -48,12 +46,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DisplacedThermalSpec:
+class DisplacedThermalSpec(Record):
     """A thermal state conjugated by a displacement operator."""
 
-    temps: ModeVector
-    displacement: Tuple[complex, ...]
+    __slots__ = ("temps", "displacement")
 
     def __init__(self, temps, displacement: Optional[Sequence[complex]] = None):
         if not isinstance(temps, ModeVector):
@@ -80,24 +76,18 @@ class DisplacedThermalSpec:
         return all(not math.isinf(t) for t in self.temps)
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
+class SeriesEstimate(Record):
     """Log of the trace argument, in the shape of a truncated-series outcome.
 
     The closed form is exact: ``tail_bound`` is 0, ``terms_used`` 0 and
     ``converged`` true.  ``log_sum = (alpha-1) D`` (``inf`` on divergence).
     """
 
-    log_sum: float
-    tail_bound: float
-    terms_used: int
-    converged: bool
+    __slots__ = ("log_sum", "tail_bound", "terms_used", "converged")
 
 
-@dataclass(frozen=True)
-class DisplacedEntropyResult:
-    entropy: ExtendedEntropy
-    series: SeriesEstimate
+class DisplacedEntropyResult(Record):
+    __slots__ = ("entropy", "series")
 
 
 def relative_displacement(

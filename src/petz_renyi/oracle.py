@@ -20,14 +20,13 @@ uses no formula for the trace and never factors it over modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Tuple
 
 import numpy as np
 
 from .displaced import DisplacedThermalSpec
-from .states import log1mexp
+from .states import Record, log1mexp
 from .thermal import _LOG_MAX, support_contained, validate_order
 
 __all__ = [
@@ -82,13 +81,10 @@ def displacement_matrix(u: complex, n: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class OracleTrace:
+class OracleTrace(Record):
     """Value of ``tr(rho^alpha sigma^{1-alpha})`` with diagnostic counters."""
 
-    value: float
-    clamped: int
-    dim: int
+    __slots__ = ("value", "clamped", "dim")
 
 
 def _log_weights(temps, p: float, n: int) -> np.ndarray:

@@ -10,7 +10,6 @@ modes.  Mode indices in public return values are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
 __all__ = [
@@ -35,15 +34,63 @@ def log1mexp(x: float) -> float:
     return math.log1p(-math.exp(-x))
 
 
-@dataclass(frozen=True)
-class ModeVector:
+class Record:
+    """Frozen value record; a subclass names its fields in ``__slots__``, their
+    defaults in ``_defaults``, and gets an ``__init__`` unless it has its own.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__slots__
+        if "__init__" in cls.__dict__:
+            return
+        # each slot descriptor sets its field past the __setattr__ guard
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in cls._fields}
+        namespace.update({f"_default_{name}": v for name, v in cls._defaults.items()})
+        params, body = [], []
+        for name in cls._fields:
+            params.append(f"{name}=_default_{name}" if name in cls._defaults else name)
+            if isinstance(cls._defaults.get(name), dict):  # a fresh dict per instance
+                body.append(f"if {name} is _default_{name}: {name} = {name}.copy()")
+            body.append(f"_set_{name}(self, {name})")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # through __init__: unpickling slots would assign them
+        return type(self), self._values()
+
+
+class ModeVector(Record):
     """Ordered inverse temperatures, one per mode; ``math.inf`` marks vacuum.
 
     Infinity is carried as the IEEE value ``math.inf`` and all vacuum-mode
     logic branches on ``math.isinf``, never on magnitude thresholds.
     """
 
-    temps: Tuple[float, ...]
+    __slots__ = ("temps",)
 
     def __init__(self, temps: Iterable[float]):
         ts = tuple(float(t) for t in temps)

@@ -13,10 +13,9 @@ the rounded ``alpha*`` is reported but decides nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .states import ModeVector, log1mexp
+from .states import ModeVector, Record, log1mexp
 
 __all__ = [
     "SupportViolation",
@@ -46,8 +45,7 @@ class SupportViolation(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
+class DivergenceWitness(Record):
     """Why a computed entropy is infinite.
 
     ``kind`` is one of ``"support"``, ``"threshold"``,
@@ -57,19 +55,15 @@ class DivergenceWitness:
     sequence.
     """
 
-    kind: str
-    mode: Optional[int]
-    detail: str
-    exponent: Optional[float] = None
-    sample_indices: Tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ("kind", "mode", "detail", "exponent", "sample_indices")
+    _defaults = {"exponent": None, "sample_indices": ()}
 
 
-@dataclass(frozen=True)
-class ExtendedEntropy:
+class ExtendedEntropy(Record):
     """Nonnegative entropy value, or ``inf`` together with a witness."""
 
-    value: float
-    witness: Optional[DivergenceWitness] = None
+    __slots__ = ("value", "witness")
+    _defaults = {"witness": None}
 
     def __post_init__(self):
         if math.isinf(self.value) != (self.witness is not None):
@@ -80,17 +74,15 @@ class ExtendedEntropy:
         return not math.isinf(self.value)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(Record):
     """Finiteness threshold ``alpha*`` and the 1-based modes achieving it.
 
     ``ratios`` maps every 1-based mode ``j`` with finite ``r_j < s_j`` to its
     ratio ``s_j/(s_j - r_j)``; ``alpha*`` is their minimum.
     """
 
-    alpha_star: float
-    argmin_modes: Tuple[int, ...] = field(default_factory=tuple)
-    ratios: Dict[int, float] = field(default_factory=dict)
+    __slots__ = ("alpha_star", "argmin_modes", "ratios")
+    _defaults = {"argmin_modes": (), "ratios": {}}
 
 
 def validate_order(alpha: float) -> float:

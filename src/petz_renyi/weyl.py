@@ -22,10 +22,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .states import Record
 
 __all__ = [
     "laguerre",
@@ -127,14 +128,10 @@ def weyl_element(row: int, col: int, u: complex) -> complex:
     return sign * (base**m) * cmath.exp(log_mag)
 
 
-@dataclass(frozen=True)
-class SineIntervalWitness:
+class SineIntervalWitness(Record):
     """Integer ``j`` inside the m-th phase interval where ``|sin(2 sqrt(j)|u| + pi/4)| >= 1/sqrt(2)``."""
 
-    m: int
-    lo: float
-    hi: float
-    j: int
+    __slots__ = ("m", "lo", "hi", "j")
 
 
 def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
@@ -218,6 +215,8 @@ def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
         c = default_fejer_constant(u)
     if not (c > 0.0):
         raise ValueError(f"constant must be positive, got {c}")
+    if math.isinf(c):
+        raise ValueError(f"constant must be finite, got {c}")
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     return _fejer_hits(np.abs(weyl_diag_sequence(j_max, u)), c)

@@ -1,10 +1,14 @@
-"""The public names of the package, pinned so an export change is deliberate."""
+"""The public names and records of the package, pinned so a contract change is deliberate."""
 
+import copy
 import inspect
+import math
+import pickle
 
 import pytest
 
 import petz_renyi
+from petz_renyi.states import Record
 
 PUBLIC_NAMES = [
     "DisplacedEntropyResult",
@@ -122,3 +126,111 @@ def test_package_import_loads_numpy_only_on_demand(fresh_python):
     )
     proc = fresh_python(program)
     assert proc.returncode == 0, proc.stderr
+
+
+WITNESS = {"kind": "threshold", "mode": 1, "detail": "x"}
+
+# every record, built by keyword, with the repr that dataclasses gave it
+RECORDS = [
+    ("ModeVector", {"temps": (1.0, 2.5)}, "ModeVector(temps=(1.0, 2.5))"),
+    (
+        "DivergenceWitness",
+        WITNESS,
+        "DivergenceWitness(kind='threshold', mode=1, detail='x', exponent=None, sample_indices=())",
+    ),
+    (
+        "DivergenceWitness",
+        {**WITNESS, "exponent": -0.5, "sample_indices": (3, 7)},
+        "DivergenceWitness(kind='threshold', mode=1, detail='x', exponent=-0.5, sample_indices=(3, 7))",
+    ),
+    ("ExtendedEntropy", {"value": 0.25}, "ExtendedEntropy(value=0.25, witness=None)"),
+    ("ThresholdResult", {"alpha_star": 2.0}, "ThresholdResult(alpha_star=2.0, argmin_modes=(), ratios={})"),
+    (
+        "ThresholdResult",
+        {"alpha_star": 2.0, "argmin_modes": (1,), "ratios": {1: 2.0}},
+        "ThresholdResult(alpha_star=2.0, argmin_modes=(1,), ratios={1: 2.0})",
+    ),
+    (
+        "DisplacedThermalSpec",
+        {"temps": [1.0, math.inf], "displacement": [1 + 2j, 0]},
+        "DisplacedThermalSpec(temps=ModeVector(temps=(1.0, inf)), displacement=((1+2j), 0j))",
+    ),
+    (
+        "SeriesEstimate",
+        {"log_sum": -0.5, "tail_bound": 0.0, "terms_used": 0, "converged": True},
+        "SeriesEstimate(log_sum=-0.5, tail_bound=0.0, terms_used=0, converged=True)",
+    ),
+    (
+        "DisplacedEntropyResult",
+        {"entropy": 0.25, "series": None},
+        "DisplacedEntropyResult(entropy=0.25, series=None)",
+    ),
+    ("OracleTrace", {"value": 0.5, "clamped": 0, "dim": 96}, "OracleTrace(value=0.5, clamped=0, dim=96)"),
+    (
+        "SineIntervalWitness",
+        {"m": 1, "lo": 2.5, "hi": 5.5, "j": 3},
+        "SineIntervalWitness(m=1, lo=2.5, hi=5.5, j=3)",
+    ),
+]
+
+
+def build(name, fields):
+    return getattr(petz_renyi, name)(**fields)
+
+
+@pytest.mark.parametrize("name, fields, text", RECORDS)
+def test_record_repr_is_pinned(name, fields, text):
+    assert repr(build(name, fields)) == text
+
+
+@pytest.mark.parametrize("name, fields, text", RECORDS)
+def test_record_value_semantics(name, fields, text):
+    record = build(name, fields)
+    again = build(name, fields)
+    assert isinstance(record, Record)
+    assert record == again and not record != again
+    assert record == getattr(petz_renyi, name)(*(getattr(record, f) for f in record._fields))
+    assert all(record != build(*other[:2]) for other in RECORDS if other[2] != text)
+    if name == "ThresholdResult":
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)  # its ratios are a dict, as under dataclasses
+    else:
+        assert hash(record) == hash(again)
+
+
+def test_records_of_different_classes_never_compare_equal():
+    class Twin(Record):
+        __slots__ = ("value", "witness")
+
+    entropy = petz_renyi.ExtendedEntropy(0.25)
+    assert Twin(0.25, None) != entropy and entropy != Twin(0.25, None)
+    assert Twin(0.25, None) == Twin(value=0.25, witness=None)
+
+
+@pytest.mark.parametrize("name, fields, text", RECORDS)
+def test_records_are_frozen(name, fields, text):
+    record = build(name, fields)
+    for field in record._fields:
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("name, fields, text", RECORDS)
+def test_records_pickle_and_copy(name, fields, text):
+    record = build(name, fields)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert clone == record and repr(clone) == text
+
+
+def test_default_ratios_are_not_shared():
+    first, second = petz_renyi.ThresholdResult(2.0), petz_renyi.ThresholdResult(2.0)
+    first.ratios[1] = 2.0
+    assert second.ratios == {} and petz_renyi.ThresholdResult(3.0).ratios == {}
+    deep = copy.deepcopy(first)
+    assert deep.ratios == {1: 2.0} and deep.ratios is not first.ratios

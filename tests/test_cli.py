@@ -460,3 +460,28 @@ def test_numpy_commands_load_it_on_demand(run_fresh):
     # below the default dimension the truncation error fails the check (exit 1)
     assert run_fresh(["validate", "--dim", "96"]) == (0, True)
     assert run_fresh(["weyl-scan", "--u-re", "1", "--j-max", "200"]) == (0, True)
+
+
+def test_closed_form_path_loads_neither_dataclasses_nor_inspect(states, fresh_python):
+    report = "import sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    bare = fresh_python(report).stdout.strip()
+    if bare != "[]":
+        pytest.skip(f"a bare interpreter loads {bare}")
+    cli = (
+        "import sys\n"
+        "from petz_renyi.cli import main\n"
+        "assert main(['threshold', *sys.argv[1:]]) == 0\n"
+        "assert main(['entropy', *sys.argv[1:], '--alpha', '1.5']) == 0\n"
+    )
+    proc = fresh_python(cli + report, states["rho_disp"], states["sigma"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    proc = fresh_python("import petz_renyi; petz_renyi.ModeVector\n" + report)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_weyl_scan_infinite_constant_exits_two(capsys):
+    code, out, err = run(capsys, ["weyl-scan", "--u-re", "1", "--c", "inf"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: constant must be finite, got inf\n"

@@ -349,8 +349,12 @@ def test_validate_order():
 
 
 def test_extended_entropy_invariant():
+    witness = DivergenceWitness("threshold", 1, "x")
     with pytest.raises(ValueError):
         ExtendedEntropy(math.inf)
     with pytest.raises(ValueError):
-        ExtendedEntropy(1.0, DivergenceWitness("threshold", 1, "x"))
+        ExtendedEntropy(1.0, witness)
+    with pytest.raises(ValueError):
+        ExtendedEntropy(value=1.0, witness=witness)
     assert ExtendedEntropy(1.0).finite
+    assert ExtendedEntropy(math.inf, witness).witness is witness

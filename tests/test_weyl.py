@@ -212,6 +212,12 @@ def test_fejer_scan_monotone_in_constant():
     assert stricter <= base
 
 
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_fejer_scan_rejects_a_non_finite_constant(c):
+    with pytest.raises(ValueError, match="constant must be"):
+        fejer_scan(1.0, 100, c=c)
+
+
 def test_fejer_scan_validation():
     with pytest.raises(ValueError):
         fejer_scan(0, 100)
