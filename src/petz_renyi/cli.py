@@ -239,8 +239,8 @@ def cmd_validate(args) -> int:
         rho = _spec_from_doc(doc.get("rho"), args.case)
         sigma = _spec_from_doc(doc.get("sigma"), args.case)
         alphas = doc.get("alphas", [0.5])
-        if not isinstance(alphas, list):
-            raise CliError(f"'alphas' must be a list of orders in {args.case}")
+        if not isinstance(alphas, list) or not alphas:
+            raise CliError(f"'alphas' must be a non-empty list of orders in {args.case}")
         undisplaced = all(z == 0 for z in rho.displacement) and all(
             z == 0 for z in sigma.displacement
         )

@@ -170,6 +170,10 @@ def diagonal_divergence_witness(
         diag = np.abs(weyl_diag_sequence(_WITNESS_SCAN, uj))
         c = 1.0 / (2.0 * math.sqrt(2.0 * math.pi * abs(uj)))
         hits = _fejer_hits(diag, c)
+        if not hits and c > 1.0:
+            # |u_j| below about 2.2e-4 puts the first hit past the scan
+            # (k >= c^{8/3}); there every element is near 1: take them all
+            hits = list(range(1, _WITNESS_SCAN + 1))
         evident = [k for k in hits if -expo * k + 2.0 * np.log(diag[k]) >= 0.0]
         sample = tuple((evident or hits)[:_WITNESS_SAMPLE])
     return DivergenceWitness(

@@ -107,30 +107,25 @@ def _element_bound(u: complex, n: int) -> np.ndarray:
     Expanding ``W = e^{-|u|^2/2} e^{u a^dag} e^{-conj(u) a}`` and applying
     the triangle inequality to the finite double sum gives
     ``|W[l, k]| <= e^{-x/2} sum_j |u|^{l+k-2j} sqrt(l! k!) /
-    ((l-j)! (k-j)! j!)``, evaluated in the log domain.  The bound is tight
-    up to a modest factor in the far off-diagonal tail, where it is needed
-    to separate true matrix elements from eigh roundoff.  It is symmetric in
-    ``(l, k)``: row ``l`` fills the entries ``k >= l``, whose sums run over
-    ``j <= l``, as one max-shifted log-sum-exp per entry.
+    ((l-j)! (k-j)! j!)``, tight up to a modest factor in the far off-diagonal
+    tail, where it separates true matrix elements from eigh roundoff.  The
+    sum is ``E^T E`` for the upper triangular ``E = e^{-x/4} e^{|u| a}``,
+    ``E[j, k] = e^{-x/4} |u|^{k-j} sqrt(k!/j!) / (k-j)!``, formed in the log
+    domain.  Entries of ``E`` beyond the normal double range leave the
+    product and ``n`` times their largest term is added back, so the result
+    stays an upper bound; it is capped at ``e^700``.
     """
     x = abs(u) ** 2
-    log_u = 0.5 * math.log(x)
     lg = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    out = np.empty((n, n))
-    for el in range(n):
-        k = np.arange(el, n)[:, None]
-        j = np.arange(el + 1)
-        t = (
-            (el + k - 2 * j) * log_u
-            + 0.5 * (lg[el] + lg[k])
-            - lg[el - j]
-            - lg[k - j]
-            - lg[j]
-        )
-        top = t.max(axis=1)
-        log_sum = top + np.log(np.exp(t - top[:, None]).sum(axis=1))
-        out[el, el:] = out[el:, el] = np.exp(np.minimum(700.0, -0.5 * x + log_sum))
-    return out
+    d = np.arange(n) - np.arange(n)[:, None]  # k - j
+    log_e = -0.25 * x + 0.5 * (d * math.log(x) + lg - lg[:, None]) - lg[abs(d)]
+    log_e[d < 0] = -np.inf
+    kept = abs(log_e) < 708.0  # normal doubles; the lower triangle is dropped too
+    top, gone = log_e.max(axis=0), np.where(kept, -np.inf, log_e).max(axis=0)
+    e = np.exp(np.where(kept, log_e, -np.inf))
+    with np.errstate(over="ignore"):
+        lost = np.exp(math.log(n) + np.maximum(gone[:, None] + top, top[:, None] + gone))
+        return np.minimum(e.T @ e + lost, math.exp(700.0))
 
 
 def _mode_product(make, u_rho: complex, u_sigma: complex, n: int) -> np.ndarray:
@@ -156,26 +151,31 @@ def _overlap_rows(pairs, clamp: bool, n: int, w_rho) -> Tuple[np.ndarray, int]:
     """``|M|^2 @ w_rho`` and the number of clamped entries of ``M``.
 
     ``M = W(u_sigma)^dag W(u_rho)`` over the ``(u_rho, u_sigma)`` pairs of the
-    modes.  Above order one the negative sigma power amplifies by up to
-    ``e^{(alpha-1) s (n-1)}``, so with ``clamp`` the entries of ``M`` that
-    exceed twice their rigorous a priori bound (meaning roundoff dominates
-    the true value) are zeroed and counted.  The Kronecker products over
-    modes are formed one block of leading-mode rows at a time, with the same
-    products as the full form.
+    modes, so ``|M|^2`` is the Kronecker product of the modes' ``|M_j|^2``.
+    Below order one each ``|M_j|^2`` is applied along its own axis of
+    ``w_rho``, at ``O(m n^{m+1})``.  Above order one the negative sigma power
+    amplifies by up to ``e^{(alpha-1) s (n-1)}``, so with ``clamp`` the
+    entries of the product that exceed twice their rigorous a priori bound
+    (roundoff dominates the true value) are zeroed and counted.  No mode-wise
+    step can zero single entries of the product, so there it is formed one
+    block of leading-mode rows at a time.
     """
     m2 = [np.abs(_mode_product(displacement_matrix, *p, n)) ** 2 for p in pairs]
-    bound = [_mode_product(_element_bound, *p, n) for p in pairs] if clamp else []
+    if not clamp:
+        t = w_rho.reshape((n,) * len(m2))
+        for a in reversed(m2):  # each pass moves the new axis to the front
+            t = np.tensordot(a, t, axes=(1, -1))
+        return t.ravel(), 0
+    bound = [_mode_product(_element_bound, *p, n) for p in pairs]
     rest = w_rho.size // n  # full-space rows per row of the leading mode
     step = max(1, BLOCK_ENTRIES // (rest * w_rho.size))
     rows, clamped = np.empty(w_rho.size), 0
     for lo in range(0, n, step):
         block = reduce(_kron, [m2[0][lo : lo + step]] + m2[1:])
-        if clamp:
-            b = reduce(_kron, [bound[0][lo : lo + step]] + bound[1:])
-            noisy = block > 4.0 * b**2
-            clamped += int(np.count_nonzero(noisy))
-            block = np.where(noisy, 0.0, block)
-        rows[lo * rest : (lo + step) * rest] = block @ w_rho
+        b = reduce(_kron, [bound[0][lo : lo + step]] + bound[1:])
+        noisy = block > 4.0 * b**2
+        clamped += int(np.count_nonzero(noisy))
+        rows[lo * rest : (lo + step) * rest] = np.where(noisy, 0.0, block) @ w_rho
     return rows, clamped
 
 

@@ -298,6 +298,17 @@ def test_validate_divergent_case_exits_two(tmp_path, capsys):
     assert "alpha* = 2" in err and "threshold" in err
 
 
+def test_validate_empty_orders_exit_two(tmp_path, capsys):
+    # an empty order list would check nothing, so it must not read as a pass
+    case = tmp_path / "case.json"
+    for alphas in ([], 0.5):
+        doc = {"rho": {"temps": [1]}, "sigma": {"temps": [2]}, "alphas": alphas}
+        case.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", "24"])
+        assert (code, out) == (2, "")
+        assert "error:" in err and "non-empty list of orders" in err
+
+
 def test_validate_vacuum_sigma_above_one_exits_two(tmp_path, capsys):
     case = tmp_path / "case.json"
     case.write_text(

@@ -18,7 +18,7 @@ from petz_renyi.displaced import (
 from petz_renyi.oracle import oracle_trace
 from petz_renyi.states import ModeVector
 from petz_renyi import weyl
-from petz_renyi.thermal import d_alpha_thermal
+from petz_renyi.thermal import alpha_threshold, d_alpha_thermal
 from petz_renyi.weyl import weyl_diag, weyl_diag_sequence, weyl_element
 
 # frozen arbitrary-precision double sums (60-digit evaluation, truncation 220)
@@ -228,6 +228,24 @@ def test_diagonal_witness_large_displacement(u, alpha):
     for k in w.sample_indices:
         # log of the series term e^{-expo k} |<k|W(u)|k>|^2 is nonnegative
         assert -w.exponent * k + 2.0 * math.log(abs(diag[k])) >= 0.0
+
+
+def test_diagonal_witness_small_displacement_samples():
+    # a perfbench grid input (seed 1, round 1996): at |u| below about 2.2e-4
+    # the Fejer constant put the first hit beyond the scan, and the witness
+    # sampled nothing
+    r, s = ModeVector([1.1281195319156945]), ModeVector([1.3212159233064045])
+    star = alpha_threshold(r, s).alpha_star
+    u_grid = -5.808865065626279e-06 - 1.5757093621421303e-05j
+    for alpha in (9.104227315428496, math.nextafter(star, math.inf)):
+        for u in (u_grid, 1e-12, 1e-8, 1e-5, 1e-4):
+            w = diagonal_divergence_witness(r, s, [u], alpha)
+            assert w.exponent <= 0.0
+            assert len(w.sample_indices) == 16
+            diag = weyl_diag_sequence(max(w.sample_indices), u)
+            for k in w.sample_indices:
+                # the series term e^{-expo k} |<k|W(u)|k>|^2 stays near 1 or above
+                assert -w.exponent * k + 2.0 * math.log(abs(diag[k])) >= -1e-4
 
 
 def test_diagonal_witness_reads_one_laguerre_pass(monkeypatch):

@@ -1,6 +1,7 @@
 """Truncated-Fock-space brute-force validator."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -282,6 +283,69 @@ def test_element_bound_dominates_displacement_matrix():
     for u in (0.3j, 1.0, 1 + 1j):
         w = displacement_matrix(u, 2 * n)[:n, :n]
         assert (np.abs(w) <= _element_bound(u, n) * (1 + 1e-8) + 1e-12).all()
+
+
+def _log_domain_rows(u, n, rows):
+    # log of the scalar loop's sum, one max-shifted log-sum-exp per entry
+    x = abs(u) ** 2
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    k = np.arange(n)[:, None]
+    out = {}
+    for el in rows:
+        j = np.arange(el + 1)
+        t = np.where(
+            j <= k,
+            (el + k - 2 * j) * 0.5 * math.log(x)
+            + 0.5 * (lg[el] + lg[k])
+            - lg[el - j]
+            - lg[abs(k - j)]
+            - lg[j],
+            -np.inf,
+        )
+        top = t.max(axis=1)
+        out[el] = -0.5 * x + top + np.log(np.exp(t - top[:, None]).sum(axis=1))
+    return out
+
+
+def test_element_bound_where_e_leaves_double_range():
+    # u=56, n=800: E[j, j] = e^{-x/4} = e^{-784} underflows; u=46, n=1500:
+    # some entries of E exceed e^709 and the bound reaches its e^700 cap
+    for u, n in ((56.0, 800), (46.0, 1500)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _element_bound(u, n)
+        assert not np.isnan(got).any()
+        assert (got == got.T).all()
+        for el, log_ref in _log_domain_rows(u, n, (0, 1, n // 7, n // 2, n - 1)).items():
+            ref = np.exp(np.minimum(700.0, log_ref))
+            # an upper bound wherever the log-domain value is a normal double
+            normal = ref >= sys.float_info.min
+            assert normal.any()
+            assert (got[el][normal] >= ref[normal] * (1 - 1e-10)).all()
+        if n == 1500:
+            assert got.max() == math.exp(700.0)
+
+
+def test_modewise_rows_match_kronecker_below_one():
+    # three modes, each displaced in rho only, in sigma only and in both: the
+    # axis order of the mode-wise contraction against one explicit np.kron
+    r, s = (0.8, 1.0, 1.3), (0.9, 0.7, 1.6)
+    u_rho, u_sigma = (0.6, 0.0, 0.4 + 0.2j), (0.0, 0.3j, -0.25)
+    n = 12
+    for alpha in (0.3, 0.8):
+        m2 = np.ones((1, 1))
+        w_rho, w_sigma = np.ones(1), np.ones(1)
+        for rj, sj, u1, u2 in zip(r, s, u_rho, u_sigma):
+            mode = np.eye(n) if u1 == 0 else displacement_matrix(u1, n)
+            if u2 != 0:
+                mode = displacement_matrix(u2, n).conj().T @ mode
+            m2 = np.kron(m2, np.abs(mode) ** 2)
+            w_rho = np.kron(w_rho, np.diag(thermal_matrix(rj, n)).real ** alpha)
+            w_sigma = np.kron(w_sigma, np.diag(thermal_matrix(sj, n)).real ** (1 - alpha))
+        expect = w_sigma @ m2 @ w_rho
+        tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), alpha, n)
+        assert tr.value == pytest.approx(expect, rel=1e-12)
+        assert tr.clamped == 0
 
 
 def _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n):
