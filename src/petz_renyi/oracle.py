@@ -38,9 +38,6 @@ __all__ = [
 ]
 
 MAX_TOTAL_DIM = 4096
-# entries of one block of the overlap over the full truncated space: bounds
-# the working set of _overlap_rows whatever the mode count
-BLOCK_ENTRIES = 1 << 16
 
 
 def _check_dim(n: int) -> None:
@@ -118,7 +115,8 @@ def _element_bound(u: complex, n: int) -> np.ndarray:
     x = abs(u) ** 2
     lg = np.array([math.lgamma(k + 1.0) for k in range(n)])
     d = np.arange(n) - np.arange(n)[:, None]  # k - j
-    log_e = -0.25 * x + 0.5 * (d * math.log(x) + lg - lg[:, None]) - lg[abs(d)]
+    # d log|u|, not d log(x) / 2: x underflows to 0 for |u| below about 1e-162
+    log_e = -0.25 * x + d * math.log(abs(u)) + 0.5 * (lg - lg[:, None]) - lg[abs(d)]
     log_e[d < 0] = -np.inf
     kept = abs(log_e) < 708.0  # normal doubles; the lower triangle is dropped too
     top, gone = log_e.max(axis=0), np.where(kept, -np.inf, log_e).max(axis=0)
@@ -156,9 +154,21 @@ def _overlap_rows(pairs, clamp: bool, n: int, w_rho) -> Tuple[np.ndarray, int]:
     ``w_rho``, at ``O(m n^{m+1})``.  Above order one the negative sigma power
     amplifies by up to ``e^{(alpha-1) s (n-1)}``, so with ``clamp`` the
     entries of the product that exceed twice their rigorous a priori bound
-    (roundoff dominates the true value) are zeroed and counted.  No mode-wise
-    step can zero single entries of the product, so there it is formed one
-    block of leading-mode rows at a time.
+    (roundoff dominates the true value) are zeroed and counted.
+
+    The clamp never forms the product.  The modes split into a leading half
+    with overlap ``A`` and bound ``b_A`` and a trailing half with ``B`` and
+    ``b_B`` (``[[1]]`` for one mode), so entry ``((l, L), (k, K))`` is
+    ``A[l, k] B[L, K]`` and is noisy iff ``A B > 4 (b_A b_B)^2``.  Where
+    ``A = 0`` it adds 0 and is never noisy; elsewhere the rule reads
+    ``r_B[L, K] > 4 b_A[l, k]^2 / A[l, k]`` with ``r_B = B / b_B^2`` (0 where
+    ``B = 0``, ``inf`` where ``b_B = 0 < B``).  So once each row of ``r_B`` is
+    sorted, the kept ``K`` of every ``(l, k, L)`` form a prefix of row ``L``,
+    whose length one search finds for all rows at once.  With ``P[k, L, i]``
+    the prefix sums of ``B[L, K] w_rho[k, K]`` in that order, row ``(l, L)``
+    is ``sum_k A[l, k] P[k, L, length]``: exactly the entries the entrywise
+    clamp keeps, in ``O(N (n_A + n_B))`` memory and that times ``log N`` work
+    instead of ``O(N^2)``, for ``N = n_A n_B``.
     """
     m2 = [np.abs(_mode_product(displacement_matrix, *p, n)) ** 2 for p in pairs]
     if not clamp:
@@ -167,16 +177,32 @@ def _overlap_rows(pairs, clamp: bool, n: int, w_rho) -> Tuple[np.ndarray, int]:
             t = np.tensordot(a, t, axes=(1, -1))
         return t.ravel(), 0
     bound = [_mode_product(_element_bound, *p, n) for p in pairs]
-    rest = w_rho.size // n  # full-space rows per row of the leading mode
-    step = max(1, BLOCK_ENTRIES // (rest * w_rho.size))
-    rows, clamped = np.empty(w_rho.size), 0
-    for lo in range(0, n, step):
-        block = reduce(_kron, [m2[0][lo : lo + step]] + m2[1:])
-        b = reduce(_kron, [bound[0][lo : lo + step]] + bound[1:])
-        noisy = block > 4.0 * b**2
-        clamped += int(np.count_nonzero(noisy))
-        rows[lo * rest : (lo + step) * rest] = np.where(noisy, 0.0, block) @ w_rho
-    return rows, clamped
+    h = max(1, len(m2) // 2)
+    a, b, b_a, b_b = (
+        reduce(_kron, mats, np.ones((1, 1)))
+        for mats in (m2[:h], m2[h:], bound[:h], bound[h:])
+    )
+    n_a, n_b, rows_b = len(a), len(b), np.arange(len(b))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_b = np.where(b > 0.0, b / b_b**2, 0.0)  # inf where b_b = 0 < b
+        limit = np.where(a > 0.0, 4.0 * b_a**2 / a, np.inf)  # all kept where a = 0
+    order = np.argsort(r_b, axis=1)
+    prefix = np.zeros((n_a, n_b, n_b + 1))  # [k, L, i]
+    prefix[..., 1:] = w_rho.reshape(n_a, n_b)[:, order]
+    prefix[..., 1:] *= np.take_along_axis(b, order, 1)
+    np.cumsum(prefix[..., 1:], axis=-1, out=prefix[..., 1:])
+    # sorted rows of r_b as ranks among all its values, each row offset past
+    # the last, so that one search over the flat keys counts within each row
+    ranks, stride = np.sort(r_b, axis=None), r_b.size + 1
+    keys = np.searchsorted(ranks, np.take_along_axis(r_b, order, 1), "right")
+    keys += stride * rows_b[:, None]
+    limit = np.searchsorted(ranks, limit, "right")
+    kept = np.searchsorted(keys.ravel(), limit[..., None] + stride * rows_b, "right")
+    kept -= n_b * rows_b  # kept[l, k, L]: the length of the kept prefix
+    clamped = n_b * kept.size - int(kept.sum())
+    kept += (np.arange(n_a)[:, None] * n_b + rows_b) * (n_b + 1)  # into prefix
+    rows = np.einsum("lk,lkL->lL", a, prefix.ravel()[kept])
+    return rows.ravel(), clamped
 
 
 def oracle_trace(
@@ -197,7 +223,7 @@ def oracle_trace(
     a displaced pair needs a faithful sigma.  Otherwise the value is ``inf``
     only when the truncated sum exceeds double range.  ``clamped`` counts the
     entries of ``M`` zeroed as roundoff, above order one only (see
-    :func:`_overlap_rows`).
+    :func:`_overlap_rows`); with every entry clamped the truncated sum is 0.
     """
     _check_dim(n)
     alpha = validate_order(alpha)
@@ -226,6 +252,8 @@ def oracle_trace(
     # lam_sigma^{1-alpha} never has to be representable on its own
     terms = _log_weights(sigma.temps, 1.0 - alpha, n) + log_rows
     top = terms.max()
+    if top == -math.inf:  # every row vanished, clamped or of zero weight
+        return OracleTrace(0.0, clamped, n)
     log_total = top + math.log(np.exp(terms - top).sum())
     value = math.exp(log_total) if log_total < _LOG_MAX else math.inf
     return OracleTrace(value, clamped, n)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,6 +384,61 @@ def test_blocked_clamp_matches_full_kronecker():
         tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), alpha, n)
         assert tr.clamped == clamped > 0
         assert tr.value == pytest.approx(expect, rel=1e-12)
+
+
+def test_multimode_clamp_matches_full_kronecker():
+    # an even split (4 modes: each displaced in rho only, sigma only, rho
+    # only, both) and an uneven one (3 modes: one leading, two trailing)
+    for n, r, s, u_rho, u_sigma in (
+        (
+            6,
+            (0.8, 1.0, 1.2, 0.9),
+            (1.5, 2.0, 1.7, 1.6),
+            (2.0, 0.0, 1.5j, 0.4),
+            (0.0, 0.3j, 0.0, -0.2j),
+        ),
+        (8, (0.8, 1.0, 1.2), (1.5, 2.0, 1.7), (0.6, 0.0, 0.4), (0.0, 1e-300j, -0.2j)),
+    ):
+        expect, clamped = _full_kronecker_trace(r, s, u_rho, u_sigma, 1.5, n)
+        tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), 1.5, n)
+        assert tr.clamped == clamped > 0
+        assert tr.value == pytest.approx(expect, rel=1e-12)
+
+
+def test_clamp_working_set_stays_small():
+    # 12 modes at n=2: the full overlap has 4096^2 entries; the clamp holds
+    # O(N (n_A + n_B)) of them
+    rho, sigma = spec([1.0] * 12, [0.8] * 12), spec([2.0] * 12)
+    tracemalloc.start()
+    try:
+        tr = oracle_trace(rho, sigma, 1.5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.clamped > 0
+    assert peak < 32 * 2**20
+
+
+def test_oracle_all_clamped_is_zero():
+    # every entry of M lies above twice its bound: the truncated sum is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = oracle_trace(spec([1.0], [10.0]), spec([2.0]), 1.5, 8)
+    assert tr.value == 0.0
+    assert tr.clamped == 64
+
+
+def test_oracle_tiny_displacement():
+    # |u|^2 underflows to 0 for |u| = 1e-300: the bound takes log|u| instead
+    n = 24
+    plain = oracle_trace(spec([1.0]), spec([2.0]), 1.5, n).value
+    for u in (1e-300, 1e-300j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = oracle_trace(spec([1.0], [u]), spec([2.0]), 1.5, n)
+        assert tr.value == pytest.approx(plain, rel=1e-12)
+        _, clamped = _full_kronecker_trace((1.0,), (2.0,), (u,), (0.0,), 1.5, n)
+        assert tr.clamped == clamped
 
 
 def test_oracle_displaced_against_vacuum_below_one():
