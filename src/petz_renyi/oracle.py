@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from .displaced import DisplacedThermalSpec
-from .states import Record, log1mexp
+from .states import Record, _as_index, log1mexp
 from .thermal import _LOG_MAX, support_contained, validate_order
 
 __all__ = [
@@ -40,20 +40,22 @@ __all__ = [
 MAX_TOTAL_DIM = 4096
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(n: int) -> int:
+    n = _as_index(n, "truncation")
     if n < 2:
         raise ValueError(f"truncation must be at least 2, got {n}")
+    return n
 
 
 def annihilation_matrix(n: int) -> np.ndarray:
     """Truncated annihilation operator: entry ``(j-1, j) = sqrt(j)``."""
-    _check_dim(n)
+    n = _check_dim(n)
     return np.diag(np.sqrt(np.arange(1.0, n)), k=1).astype(complex)
 
 
 def thermal_matrix(s: float, n: int) -> np.ndarray:
     """Truncated thermal state: ``diag((1-e^{-s}) e^{-k s})``; vacuum for ``s = inf``."""
-    _check_dim(n)
+    n = _check_dim(n)
     if math.isinf(s):
         d = np.zeros(n)
         d[0] = 1.0
@@ -71,7 +73,7 @@ def displacement_matrix(u: complex, n: int) -> np.ndarray:
     the eigendecomposition route yields a numerically unitary result on the
     low-index block.
     """
-    _check_dim(n)
+    n = _check_dim(n)
     a = annihilation_matrix(n)
     h = -1j * (u * a.conj().T - np.conj(u) * a)
     w, v = np.linalg.eigh(h)
@@ -138,71 +140,30 @@ def _mode_product(make, u_rho: complex, u_sigma: complex, n: int) -> np.ndarray:
     return left if u_rho == 0 else left @ make(u_rho, n)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of 2-D arrays in one pass, with the same entrywise products."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], -1
-    )
-
-
 def _overlap_rows(pairs, clamp: bool, n: int, w_rho) -> Tuple[np.ndarray, int]:
-    """``|M|^2 @ w_rho`` and the number of clamped entries of ``M``.
+    """``|M|^2 @ w_rho`` and the number of nonzero entries of ``M`` clamped.
 
     ``M = W(u_sigma)^dag W(u_rho)`` over the ``(u_rho, u_sigma)`` pairs of the
-    modes, so ``|M|^2`` is the Kronecker product of the modes' ``|M_j|^2``.
-    Below order one each ``|M_j|^2`` is applied along its own axis of
-    ``w_rho``, at ``O(m n^{m+1})``.  Above order one the negative sigma power
-    amplifies by up to ``e^{(alpha-1) s (n-1)}``, so with ``clamp`` the
-    entries of the product that exceed twice their rigorous a priori bound
-    (roundoff dominates the true value) are zeroed and counted.
-
-    The clamp never forms the product.  The modes split into a leading half
-    with overlap ``A`` and bound ``b_A`` and a trailing half with ``B`` and
-    ``b_B`` (``[[1]]`` for one mode), so entry ``((l, L), (k, K))`` is
-    ``A[l, k] B[L, K]`` and is noisy iff ``A B > 4 (b_A b_B)^2``.  Where
-    ``A = 0`` it adds 0 and is never noisy; elsewhere the rule reads
-    ``r_B[L, K] > 4 b_A[l, k]^2 / A[l, k]`` with ``r_B = B / b_B^2`` (0 where
-    ``B = 0``, ``inf`` where ``b_B = 0 < B``).  So once each row of ``r_B`` is
-    sorted, the kept ``K`` of every ``(l, k, L)`` form a prefix of row ``L``,
-    whose length one search finds for all rows at once.  With ``P[k, L, i]``
-    the prefix sums of ``B[L, K] w_rho[k, K]`` in that order, row ``(l, L)``
-    is ``sum_k A[l, k] P[k, L, length]``: exactly the entries the entrywise
-    clamp keeps, in ``O(N (n_A + n_B))`` memory and that times ``log N`` work
-    instead of ``O(N^2)``, for ``N = n_A n_B``.
+    modes, so ``|M|^2`` is the Kronecker product of the modes' ``|M_j|^2``,
+    each applied along its own axis of ``w_rho`` at ``O(m n^{m+1})``.  Above
+    order one the negative sigma power amplifies by up to ``e^{(alpha-1) s
+    (n-1)}``, so with ``clamp`` the entries of each ``|M_j|^2`` above four
+    times their squared rigorous a priori bound are zeroed: the error of an
+    eigh-built factor (roundoff, truncation edge) dominates them, and the
+    product only adds relative rounding.  The zeroed entries of ``M`` number
+    ``prod_j nnz_j(before) - prod_j nnz_j(after)``.
     """
     m2 = [np.abs(_mode_product(displacement_matrix, *p, n)) ** 2 for p in pairs]
-    if not clamp:
-        t = w_rho.reshape((n,) * len(m2))
-        for a in reversed(m2):  # each pass moves the new axis to the front
-            t = np.tensordot(a, t, axes=(1, -1))
-        return t.ravel(), 0
-    bound = [_mode_product(_element_bound, *p, n) for p in pairs]
-    h = max(1, len(m2) // 2)
-    a, b, b_a, b_b = (
-        reduce(_kron, mats, np.ones((1, 1)))
-        for mats in (m2[:h], m2[h:], bound[:h], bound[h:])
-    )
-    n_a, n_b, rows_b = len(a), len(b), np.arange(len(b))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r_b = np.where(b > 0.0, b / b_b**2, 0.0)  # inf where b_b = 0 < b
-        limit = np.where(a > 0.0, 4.0 * b_a**2 / a, np.inf)  # all kept where a = 0
-    order = np.argsort(r_b, axis=1)
-    prefix = np.zeros((n_a, n_b, n_b + 1))  # [k, L, i]
-    prefix[..., 1:] = w_rho.reshape(n_a, n_b)[:, order]
-    prefix[..., 1:] *= np.take_along_axis(b, order, 1)
-    np.cumsum(prefix[..., 1:], axis=-1, out=prefix[..., 1:])
-    # sorted rows of r_b as ranks among all its values, each row offset past
-    # the last, so that one search over the flat keys counts within each row
-    ranks, stride = np.sort(r_b, axis=None), r_b.size + 1
-    keys = np.searchsorted(ranks, np.take_along_axis(r_b, order, 1), "right")
-    keys += stride * rows_b[:, None]
-    limit = np.searchsorted(ranks, limit, "right")
-    kept = np.searchsorted(keys.ravel(), limit[..., None] + stride * rows_b, "right")
-    kept -= n_b * rows_b  # kept[l, k, L]: the length of the kept prefix
-    clamped = n_b * kept.size - int(kept.sum())
-    kept += (np.arange(n_a)[:, None] * n_b + rows_b) * (n_b + 1)  # into prefix
-    rows = np.einsum("lk,lkL->lL", a, prefix.ravel()[kept])
-    return rows.ravel(), clamped
+    clamped = 0
+    if clamp:
+        before = math.prod(map(np.count_nonzero, m2))
+        for a, p in zip(m2, pairs):
+            a[a > 4.0 * _mode_product(_element_bound, *p, n) ** 2] = 0.0
+        clamped = int(before - math.prod(map(np.count_nonzero, m2)))
+    t = w_rho.reshape((n,) * len(m2))
+    for a in reversed(m2):  # each pass moves the new axis to the front
+        t = np.tensordot(a, t, axes=(1, -1))
+    return t.ravel(), clamped
 
 
 def oracle_trace(
@@ -222,10 +183,10 @@ def oracle_trace(
     undisplaced trace ``inf`` where rho is finite (``0^{1-alpha} = inf``), and
     a displaced pair needs a faithful sigma.  Otherwise the value is ``inf``
     only when the truncated sum exceeds double range.  ``clamped`` counts the
-    entries of ``M`` zeroed as roundoff, above order one only (see
+    nonzero entries of ``M`` zeroed as roundoff, above order one only (see
     :func:`_overlap_rows`); with every entry clamped the truncated sum is 0.
     """
-    _check_dim(n)
+    n = _check_dim(n)
     alpha = validate_order(alpha)
     if rho.n_modes != sigma.n_modes:
         raise ValueError("mode counts differ")

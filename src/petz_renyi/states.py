@@ -10,6 +10,7 @@ modes.  Mode indices in public return values are 1-based.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, Sequence, Tuple
 
 __all__ = [
@@ -32,6 +33,15 @@ def log1mexp(x: float) -> float:
     if x < math.log(2.0):
         return math.log(-math.expm1(-x))
     return math.log1p(-math.exp(-x))
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as an ``int`` (numpy integers pass); ``ValueError`` for a
+    non-integer such as ``16.5`` or ``16.0``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class Record:

@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .states import Record
+from .states import Record, _as_index
 
 __all__ = [
     "laguerre",
@@ -50,8 +50,7 @@ def laguerre(j: int, x: float) -> float:
     """
     if x < 0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    if j < 0:
-        raise ValueError(f"degree must be nonnegative, got {j}")
+    j = _degree(j)
     sign, logabs = _laguerre_sign_log(j, x, m=0)
     if logabs == -math.inf:
         return 0.0
@@ -93,7 +92,7 @@ def weyl_diag(j: int, u: complex) -> float:
 
 def weyl_diag_sequence(jmax: int, u: complex) -> np.ndarray:
     """``weyl_diag(j, u)`` for all ``j <= jmax`` in one recurrence pass."""
-    x = _element_modulus(jmax, u)
+    jmax, x = _degree(jmax), _element_modulus(u)
     pairs = itertools.chain.from_iterable(_laguerre_run(jmax, x))
     v, offset = np.fromiter(pairs, float, 2 * (jmax + 1)).reshape(-1, 2).T
     with np.errstate(divide="ignore"):
@@ -110,7 +109,7 @@ def weyl_element(row: int, col: int, u: complex) -> complex:
     and the adjoint relation ``W(u)^dagger = W(-u)`` supplies the lower
     triangle.  Validated against the dense matrix exponential oracle.
     """
-    x = _element_modulus(min(row, col), u)
+    row, col, x = _degree(row), _degree(col), _element_modulus(u)
     if u == 0:
         return 1.0 + 0.0j if row == col else 0.0j
     n, big = (col, row) if row >= col else (row, col)
@@ -144,7 +143,7 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
     ``ValueError`` for a zero or non-finite ``u`` and where the intervals
     leave double range (``|u|`` below about ``1.6e-150 m_max``).
     """
-    x = _squared_modulus(u)
+    x, m_max = _squared_modulus(u), _as_index(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if not m_max * math.pi / (2.0 * abs(u)) < 1e150:
@@ -160,11 +159,17 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
     return out
 
 
-def _element_modulus(j: int, u: complex) -> float:
-    """``|u|^2`` for degree-``j`` elements, checked as by :func:`_squared_modulus`
-    except that ``u = 0`` passes."""
+def _degree(j: int) -> int:
+    """``j`` as a nonnegative ``int``; ``ValueError`` otherwise."""
+    j = _as_index(j, "degree")
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
+    return j
+
+
+def _element_modulus(u: complex) -> float:
+    """``|u|^2`` for matrix elements, checked as by :func:`_squared_modulus`
+    except that ``u = 0`` passes."""
     return 0.0 if u == 0 else _squared_modulus(u)
 
 
@@ -217,6 +222,6 @@ def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
         raise ValueError(f"constant must be positive, got {c}")
     if math.isinf(c):
         raise ValueError(f"constant must be finite, got {c}")
-    if j_max < 1:
+    if _as_index(j_max, "j_max") < 1:
         raise ValueError("j_max must be >= 1")
     return _fejer_hits(np.abs(weyl_diag_sequence(j_max, u)), c)

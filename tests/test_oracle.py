@@ -1,13 +1,16 @@
 """Truncated-Fock-space brute-force validator."""
 
+import ast
 import math
 import sys
 import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from petz_renyi import oracle
 from petz_renyi.displaced import DisplacedThermalSpec, d_alpha_displaced
 from petz_renyi.oracle import (
     _element_bound,
@@ -214,6 +217,50 @@ def test_oracle_validation():
         oracle_trace(spec([1.0], [1.0]), spec([math.inf], [0.0]), 1.5, 32)
 
 
+def test_truncation_must_be_an_integer():
+    rho, displaced, sigma = spec([1.0]), spec([1.0], [1.0]), spec([2.0])
+    builders = (
+        annihilation_matrix,
+        lambda n: thermal_matrix(1.0, n),
+        lambda n: displacement_matrix(1.0, n),
+        lambda n: oracle_trace(rho, sigma, 0.5, n),
+        lambda n: oracle_trace(displaced, sigma, 1.5, n),
+    )
+    for make in builders:
+        for n in (16.5, 16.0, "16", None):
+            with pytest.raises(ValueError, match="truncation must be an integer"):
+                make(n)
+    # numpy integers are integers
+    tr = oracle_trace(displaced, sigma, 1.5, np.int64(16))
+    assert tr == oracle_trace(displaced, sigma, 1.5, 16)
+    assert type(tr.dim) is int
+    assert annihilation_matrix(np.int32(4)).shape == (4, 4)
+
+
+def test_oracle_imports_no_closed_form():
+    # the brute force takes from the closed-form modules only the order
+    # check, the support test, the double-range constant and the state
+    # record, so no formula for the trace can reach it
+    tree = ast.parse(open(oracle.__file__).read())
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("petz_renyi") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("petz_renyi")
+            if node.level:
+                assert node.module is not None  # no "from . import thermal"
+                taken.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert set(taken) <= {"states", "thermal", "displaced"}
+    closed_form = taken.get("thermal", set()) | taken.get("displaced", set())
+    assert closed_form == {
+        "_LOG_MAX",
+        "support_contained",
+        "validate_order",
+        "DisplacedThermalSpec",
+    }
+
+
 def _dense_power(mat, p):
     # fractional power through eigh; eigenvalues at roundoff level are the
     # exact zeros of vacuum modes (the true spectra here stay above 1e-10)
@@ -349,29 +396,46 @@ def test_modewise_rows_match_kronecker_below_one():
         assert tr.clamped == 0
 
 
-def _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n):
-    # the whole (n^2 x n^2) overlap at once, zeroing entries with m2 > 4 b^2
-    m2 = np.ones((1, 1))
-    b = np.ones((1, 1))
-    w_rho = np.ones(1)
-    w_sigma = np.ones(1)
-    for rj, sj, u1, u2 in zip(r, s, u_rho, u_sigma):
+def _kron(mats):
+    return reduce(np.kron, mats)
+
+
+def _kronecker_parts(r, s, u_rho, u_sigma, alpha, n):
+    # each mode's |M_j|^2 and bound, and the (n^m x n^m) weights, explicitly
+    m2, b = [], []
+    for u1, u2 in zip(u_rho, u_sigma):
         mode_m, mode_b = np.eye(n), np.eye(n)
         if u1 != 0:
             mode_m, mode_b = displacement_matrix(u1, n), _element_bound(u1, n)
         if u2 != 0:
             mode_m = displacement_matrix(u2, n).conj().T @ mode_m
             mode_b = _element_bound(u2, n).T @ mode_b
-        m2 = np.kron(m2, np.abs(mode_m) ** 2)
-        b = np.kron(b, mode_b)
-        w_rho = np.kron(w_rho, np.diag(thermal_matrix(rj, n)).real ** alpha)
-        w_sigma = np.kron(w_sigma, np.diag(thermal_matrix(sj, n)).real ** (1 - alpha))
+        m2.append(np.abs(mode_m) ** 2)
+        b.append(mode_b)
+    w_rho = _kron([np.diag(thermal_matrix(rj, n)).real ** alpha for rj in r])
+    w_sigma = _kron([np.diag(thermal_matrix(sj, n)).real ** (1 - alpha) for sj in s])
+    return m2, b, w_sigma[:, None] * w_rho[None, :]
+
+
+def _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n):
+    # the product rule: the whole overlap at once, zeroing entries with m2 > 4 b^2
+    m2, b, w = _kronecker_parts(r, s, u_rho, u_sigma, alpha, n)
+    m2, b = _kron(m2), _kron(b)
     noisy = m2 > 4.0 * b**2
-    value = (w_sigma[:, None] * w_rho[None, :] * np.where(noisy, 0.0, m2)).sum()
-    return value, int(np.count_nonzero(noisy))
+    return (w * np.where(noisy, 0.0, m2)).sum(), int(np.count_nonzero(noisy))
+
+
+def _factor_clamped_trace(r, s, u_rho, u_sigma, alpha, n):
+    # the oracle's rule: zero each factor's m2 > 4 b^2, then form the whole
+    # overlap; the count is of its nonzero entries that the clamp zeroed
+    m2, b, w = _kronecker_parts(r, s, u_rho, u_sigma, alpha, n)
+    kept = _kron([np.where(a > 4.0 * bj**2, 0.0, a) for a, bj in zip(m2, b)])
+    return (w * kept).sum(), int(np.count_nonzero(_kron(m2)) - np.count_nonzero(kept))
 
 
 def test_blocked_clamp_matches_full_kronecker():
+    # converged: the per-factor clamp gives the product rule's value, while
+    # it zeroes more entries (those whose partner factor entry is small)
     n, alpha = 24, 1.5
     r, s = (0.8, 1.2), (1.5, 2.0)
     # each mode displaced in rho only, in sigma only, in both or in neither
@@ -380,15 +444,18 @@ def test_blocked_clamp_matches_full_kronecker():
         ((0.6, 0.2), (0.0, 0.3j)),
         ((0.5, 0.0), (0.0, 0.0)),
     ):
-        expect, clamped = _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n)
+        expect, _ = _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n)
+        per_factor, clamped = _factor_clamped_trace(r, s, u_rho, u_sigma, alpha, n)
         tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), alpha, n)
         assert tr.clamped == clamped > 0
         assert tr.value == pytest.approx(expect, rel=1e-12)
+        assert tr.value == pytest.approx(per_factor, rel=1e-12)
 
 
 def test_multimode_clamp_matches_full_kronecker():
     # an even split (4 modes: each displaced in rho only, sigma only, rho
     # only, both) and an uneven one (3 modes: one leading, two trailing)
+    counts = []
     for n, r, s, u_rho, u_sigma in (
         (
             6,
@@ -399,16 +466,30 @@ def test_multimode_clamp_matches_full_kronecker():
         ),
         (8, (0.8, 1.0, 1.2), (1.5, 2.0, 1.7), (0.6, 0.0, 0.4), (0.0, 1e-300j, -0.2j)),
     ):
-        expect, clamped = _full_kronecker_trace(r, s, u_rho, u_sigma, 1.5, n)
+        expect, clamped = _factor_clamped_trace(r, s, u_rho, u_sigma, 1.5, n)
         tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), 1.5, n)
-        assert tr.clamped == clamped > 0
+        assert tr.clamped == clamped
         assert tr.value == pytest.approx(expect, rel=1e-12)
+        counts.append(clamped)
+    # no factor at n=6 exceeds twice its bound; at n=8 the 1e-300j factor's
+    # bound underflows off the diagonal, where eigh leaves roundoff
+    assert counts[0] == 0 < counts[1]
+
+
+def test_one_mode_clamp_is_the_product_rule():
+    # with one factor the per-factor and the product rules are the same test
+    for n in (8, 24, 64):
+        for u_rho, u_sigma in ((1.0, 0.0), (0.0, 1 + 1j), (0.5, -0.3j), (3.0, 0.0), (1e-300, 0.0)):
+            expect, clamped = _full_kronecker_trace((1.0,), (2.0,), (u_rho,), (u_sigma,), 1.5, n)
+            tr = oracle_trace(spec([1.0], [u_rho]), spec([2.0], [u_sigma]), 1.5, n)
+            assert tr.clamped == clamped
+            assert tr.value == pytest.approx(expect, rel=1e-12)
 
 
 def test_clamp_working_set_stays_small():
-    # 12 modes at n=2: the full overlap has 4096^2 entries; the clamp holds
-    # O(N (n_A + n_B)) of them
-    rho, sigma = spec([1.0] * 12, [0.8] * 12), spec([2.0] * 12)
+    # 12 modes at n=2: the full overlap has 4096^2 entries; the rows hold
+    # twelve 2x2 factors and one 4096-entry tensor
+    rho, sigma = spec([1.0] * 12, [1.5] * 12), spec([2.0] * 12)
     tracemalloc.start()
     try:
         tr = oracle_trace(rho, sigma, 1.5, 2)

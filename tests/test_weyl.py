@@ -92,6 +92,28 @@ def test_weyl_elements_check_degree_and_displacement():
     assert list(weyl_diag_sequence(3, 0)) == [1.0] * 4
 
 
+def test_degrees_and_counts_must_be_integers():
+    calls = (
+        ("degree", lambda j: laguerre(j, 1.0)),
+        ("degree", lambda j: weyl_diag(j, 1.0)),
+        ("degree", lambda j: weyl_diag_sequence(j, 1.0)),
+        ("degree", lambda j: weyl_element(j, 1, 1.0)),
+        ("degree", lambda j: weyl_element(1, j, 1.0)),
+        ("j_max", lambda j: fejer_scan(1.0, j)),
+        ("m_max", lambda j: sine_interval_indices(0.1, j)),
+    )
+    for what, f in calls:
+        for j in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"{what} must be an integer"):
+                f(j)
+    # numpy integers are integers
+    assert laguerre(np.int64(5), 1.0) == laguerre(5, 1.0)
+    assert weyl_element(np.int64(3), np.int32(1), 1.0) == weyl_element(3, 1, 1.0)
+    assert list(weyl_diag_sequence(np.int64(3), 0.5)) == list(weyl_diag_sequence(3, 0.5))
+    assert fejer_scan(1.0, np.int64(50)) == fejer_scan(1.0, 50)
+    assert sine_interval_indices(0.1, np.int32(3)) == sine_interval_indices(0.1, 3)
+
+
 def test_weyl_diag_is_the_element_diagonal():
     for u in (0, 1e-170, 0.3, 1 + 1j, 7j, 12.0):
         for j in (0, 1, 17, 150):
