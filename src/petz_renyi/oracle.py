@@ -1,27 +1,28 @@
 """Brute-force validator on a truncated Fock space.
 
-Everything here is linear algebra at desk scale on the space truncated to
-``N`` levels per mode.  Unitary conjugation leaves the thermal spectra
-unchanged, so the trace argument has one spectral resolution over the full
-truncated space,
+Unitary conjugation leaves the thermal spectra unchanged, so the trace
+argument has one spectral resolution,
 
     ``tr(rho^alpha sigma^{1-alpha})
         = sum_{k,l} lam_rho(k)^alpha lam_sigma(l)^{1-alpha} |M[l, k]|^2``,
 
-with ``M = W(u_sigma)^dag W(u_rho)``: the identity for undisplaced pairs,
-otherwise a product of explicit displacement matrices built by an
-eigendecomposition of their Hermitian generator.  The weights are formed in
-the log domain and the sum over sigma's eigenvalues is taken there, so no
-weight has to be representable on its own; see :func:`oracle_trace`.
-This path is deliberately independent of the closed forms it validates: it
-uses no formula for the trace and never factors it over modes.
+with ``M = W(u_sigma)^dag W(u_rho)``.  By the Weyl relation ``|M[l, k]| =
+|<l|W(u)|k>|`` with ``u = u_rho - u_sigma``; the spectra and ``|M|``
+factor over modes, so the sum over ``k, l < N`` is a product of one-mode
+partial sums ``T_N`` of exact terms: for ``l >= k`` and ``x = |u|^2``,
+
+    ``|<l|W(u)|k>|^2 = |<k|W(u)|l>|^2 = e^{-x} (k!/l!) x^{l-k} L_k^{(l-k)}(x)^2``.
+
+Every term is nonnegative, so ``T_N`` rises with ``N`` towards the true
+value.  Terms are formed in the log domain, so none has to be representable
+on its own; see :func:`oracle_trace`.  This path stays independent of the
+closed forms it validates: it sums the spectra against the matrix entries
+and uses no formula for the trace.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from typing import Tuple
 
 import numpy as np
 
@@ -37,7 +38,8 @@ __all__ = [
     "oracle_trace",
 ]
 
-MAX_TOTAL_DIM = 4096
+MAX_DIM = 4096
+_RESCALE = 1e150  # below sqrt(double max): the entries square f
 
 
 def _check_dim(n: int) -> int:
@@ -71,7 +73,7 @@ def displacement_matrix(u: complex, n: int) -> np.ndarray:
 
     The exponent is ``i H`` with ``H = -i (u a^dag - conj(u) a)`` Hermitian, so
     the eigendecomposition route yields a numerically unitary result on the
-    low-index block.
+    low-index block.  A dense reference for tests; the oracle does not use it.
     """
     n = _check_dim(n)
     a = annihilation_matrix(n)
@@ -81,89 +83,80 @@ def displacement_matrix(u: complex, n: int) -> np.ndarray:
 
 
 class OracleTrace(Record):
-    """Value of ``tr(rho^alpha sigma^{1-alpha})`` with diagnostic counters."""
+    """Value of ``tr(rho^alpha sigma^{1-alpha})``; ``clamped`` is 0, every term being exact."""
 
     __slots__ = ("value", "clamped", "dim")
 
 
-def _log_weights(temps, p: float, n: int) -> np.ndarray:
-    """``log(lam^p)`` over the full space.
+def _log_weights(temps, p: float, k: np.ndarray) -> np.ndarray:
+    """``log(lam^p)`` at the levels ``k``, one row per mode; ``-inf`` on the
+    kernel (``lam = 0``, vacuum modes) at either sign of ``p``."""
+    return np.array(
+        [
+            np.where(k == 0, 0.0, -np.inf) if math.isinf(t) else p * log1mexp(t) - p * t * k
+            for t in temps
+        ]
+    )
 
-    ``-inf`` on the kernel (``lam = 0``, vacuum modes) at either sign of ``p``.
+
+def _log_entries(u: np.ndarray, n: int) -> np.ndarray:
+    """``log |<k+m|W(u_j)|k>|^2`` at ``[k, j, m]`` for ``k, m < n``.
+
+    With ``x = |u|^2`` the entry is ``e^{-x} x^m / m! f_k^2``, where ``f_k =
+    L_k^{(m)}(x) / sqrt(C(k+m, k))`` obeys the upward three-term recurrence
+
+        ``sqrt((k+1)(k+1+m)) f_{k+1} = (2k+1+m-x) f_k - sqrt(k(k+m)) f_{k-1}``
+
+    from ``f_{-1} = 0`` and ``f_0 = 1``: the recurrence of
+    ``weyl._laguerre_run``, scaled, and run over every ``m`` and every mode
+    at once.  ``|f_k| <= sqrt(C(k+m, k)) e^{x/2}`` (Abramowitz & Stegun
+    22.14.13); where that bound can pass ``limit``, an exponent register
+    rescales before a step could take ``f_k^2`` out of double range.
     """
-    k = np.arange(n)
-    logs = [
-        np.where(k == 0, 0.0, -np.inf) if math.isinf(t) else log1mexp(t) - t * k
-        for t in temps
-    ]
-    full = reduce(lambda a, b: np.add.outer(a, b).ravel(), logs)
-    return np.where(full == -np.inf, -np.inf, p * full)
+    if not np.abs(u).max() <= 1e50:  # |u|^2 <= 1e100 keeps limit above 1
+        raise ValueError("a relative displacement exceeds 1e50 in modulus")
+    x = np.abs(u) ** 2
+    k1 = np.arange(1.0, n)[:, None]  # k + 1
+    a = k1 + np.arange(n)  # k + 1 + m
+    q = (k1 * a) ** -0.5
+    grow = ((k1 + a)[:, None] - (1.0 + x)[:, None]) * q[:, None]
+    # sqrt(k(k+m)) q[k] at row k - 1, one copy per mode: broadcasting slows each step
+    falls = list(np.repeat((q[1:] / q[:-1])[:, None], len(u), axis=1))
+    f = np.empty((n, len(u), n))
+    f[0], f[1] = 1.0, grow[0]
+    rows, grows = list(f), list(grow)
+    x_max = float(x.max())
+    limit = _RESCALE / (2.0 + math.sqrt(n) + x_max)  # |grow| + |fall| < 2 + sqrt(n) + x
+    log_bound = 0.5 * (math.lgamma(2 * n - 1) - 2 * math.lgamma(n) + x_max)
+    reg = np.zeros(f.shape) if log_bound > math.log(limit) else None
+    for j in range(1, n - 1):
+        if reg is not None:
+            top = np.maximum(np.abs(rows[j - 1]), np.abs(rows[j]))
+            if (top > limit).any():
+                top = np.where(top > limit, top, 1.0)
+                f[j - 1 : j + 1] /= top
+                reg[j - 1 : j + 1] += 2.0 * np.log(top)
+            reg[j + 1] = reg[j]
+        np.multiply(grows[j], rows[j], out=rows[j + 1])
+        rows[j + 1] -= falls[j - 1] * rows[j - 1]
+    with np.errstate(divide="ignore"):  # exact zeros of the polynomials
+        log_w2 = np.log(np.square(f, out=f), out=f)
+    if reg is not None:
+        log_w2 += reg
+    lg = np.array([math.lgamma(i + 1.0) for i in range(n)])
+    # 2 m log|u|, not m log x: x underflows to 0 for |u| below about 1e-162
+    log_w2 += np.log(np.abs(u))[:, None] * np.arange(0.0, 2.0 * n, 2.0) - lg - x[:, None]
+    return log_w2
 
 
-def _element_bound(u: complex, n: int) -> np.ndarray:
-    """Rigorous entrywise bound on the truncated displacement matrix.
+def _log_product(terms: np.ndarray, axis) -> float:
+    """``log prod_j sum exp(terms)``, one factor per mode ``j``, summed over ``axis``.
 
-    Expanding ``W = e^{-|u|^2/2} e^{u a^dag} e^{-conj(u) a}`` and applying
-    the triangle inequality to the finite double sum gives
-    ``|W[l, k]| <= e^{-x/2} sum_j |u|^{l+k-2j} sqrt(l! k!) /
-    ((l-j)! (k-j)! j!)``, tight up to a modest factor in the far off-diagonal
-    tail, where it separates true matrix elements from eigh roundoff.  The
-    sum is ``E^T E`` for the upper triangular ``E = e^{-x/4} e^{|u| a}``,
-    ``E[j, k] = e^{-x/4} |u|^{k-j} sqrt(k!/j!) / (k-j)!``, formed in the log
-    domain.  Entries of ``E`` beyond the normal double range leave the
-    product and ``n`` times their largest term is added back, so the result
-    stays an upper bound; it is capped at ``e^700``.
+    Every mode has a finite term (``k = l = 0``), so every factor is positive.
     """
-    x = abs(u) ** 2
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    d = np.arange(n) - np.arange(n)[:, None]  # k - j
-    # d log|u|, not d log(x) / 2: x underflows to 0 for |u| below about 1e-162
-    log_e = -0.25 * x + d * math.log(abs(u)) + 0.5 * (lg - lg[:, None]) - lg[abs(d)]
-    log_e[d < 0] = -np.inf
-    kept = abs(log_e) < 708.0  # normal doubles; the lower triangle is dropped too
-    top, gone = log_e.max(axis=0), np.where(kept, -np.inf, log_e).max(axis=0)
-    e = np.exp(np.where(kept, log_e, -np.inf))
-    with np.errstate(over="ignore"):
-        lost = np.exp(math.log(n) + np.maximum(gone[:, None] + top, top[:, None] + gone))
-        return np.minimum(e.T @ e + lost, math.exp(700.0))
-
-
-def _mode_product(make, u_rho: complex, u_sigma: complex, n: int) -> np.ndarray:
-    """``make(u_sigma)^dag make(u_rho)`` on one mode, taking ``make(0)`` as 1.
-
-    With ``displacement_matrix`` this is the overlap ``M`` of the two
-    eigenbases; with ``_element_bound`` it bounds ``|M|`` entrywise.
-    """
-    if u_sigma == 0:
-        return make(u_rho, n) if u_rho != 0 else np.eye(n)
-    left = make(u_sigma, n).conj().T
-    return left if u_rho == 0 else left @ make(u_rho, n)
-
-
-def _overlap_rows(pairs, clamp: bool, n: int, w_rho) -> Tuple[np.ndarray, int]:
-    """``|M|^2 @ w_rho`` and the number of nonzero entries of ``M`` clamped.
-
-    ``M = W(u_sigma)^dag W(u_rho)`` over the ``(u_rho, u_sigma)`` pairs of the
-    modes, so ``|M|^2`` is the Kronecker product of the modes' ``|M_j|^2``,
-    each applied along its own axis of ``w_rho`` at ``O(m n^{m+1})``.  Above
-    order one the negative sigma power amplifies by up to ``e^{(alpha-1) s
-    (n-1)}``, so with ``clamp`` the entries of each ``|M_j|^2`` above four
-    times their squared rigorous a priori bound are zeroed: the error of an
-    eigh-built factor (roundoff, truncation edge) dominates them, and the
-    product only adds relative rounding.  The zeroed entries of ``M`` number
-    ``prod_j nnz_j(before) - prod_j nnz_j(after)``.
-    """
-    m2 = [np.abs(_mode_product(displacement_matrix, *p, n)) ** 2 for p in pairs]
-    clamped = 0
-    if clamp:
-        before = math.prod(map(np.count_nonzero, m2))
-        for a, p in zip(m2, pairs):
-            a[a > 4.0 * _mode_product(_element_bound, *p, n) ** 2] = 0.0
-        clamped = int(before - math.prod(map(np.count_nonzero, m2)))
-    t = w_rho.reshape((n,) * len(m2))
-    for a in reversed(m2):  # each pass moves the new axis to the front
-        t = np.tensordot(a, t, axes=(1, -1))
-    return t.ravel(), clamped
+    top = terms.max(axis=axis, keepdims=True)
+    sums = np.exp(terms - top).sum(axis=axis)
+    return math.fsum(top.ravel()) + math.fsum(map(math.log, sums.ravel()))
 
 
 def oracle_trace(
@@ -174,47 +167,49 @@ def oracle_trace(
 ) -> OracleTrace:
     """Direct ``tr(rho^alpha sigma^{1-alpha})`` on the truncated space.
 
-    The spectral resolution of the module docstring: the rows
-    ``sum_k |M[l, k]|^2 lam_rho(k)^alpha``, which are ``lam_rho(l)^alpha`` for
-    an undisplaced pair (``M = 1``), are summed against
-    ``lam_sigma(l)^{1-alpha}`` in the log domain.  Vanishing eigenvalues carry
-    weight 0 at either sign of the power, so vacuum modes of sigma drop out
-    below order one (``0^{1-alpha} = 0``); above order one they make an
-    undisplaced trace ``inf`` where rho is finite (``0^{1-alpha} = inf``), and
-    a displaced pair needs a faithful sigma.  Otherwise the value is ``inf``
-    only when the truncated sum exceeds double range.  ``clamped`` counts the
-    nonzero entries of ``M`` zeroed as roundoff, above order one only (see
-    :func:`_overlap_rows`); with every entry clamped the truncated sum is 0.
+    The product over modes of the partial sums ``T_N`` of the module
+    docstring, each summed in the log domain: ``sum_k lam_rho(k)^alpha
+    lam_sigma(k)^{1-alpha}`` where the relative displacement is 0 (``M =
+    1``), otherwise over the exact entries of ``W(u_rho - u_sigma)``.
+    Vanishing eigenvalues carry weight 0 at either sign of the power, so
+    vacuum modes of sigma drop out below order one (``0^{1-alpha} = 0``);
+    above order one they make an undisplaced trace ``inf`` where rho is
+    finite (``0^{1-alpha} = inf``), and a displaced pair needs a faithful
+    sigma.  Otherwise the value is ``inf`` only when the truncated sum
+    exceeds double range.  The memory is ``O(n^2)`` per displaced mode, so
+    ``n`` is at most ``MAX_DIM``.
     """
     n = _check_dim(n)
     alpha = validate_order(alpha)
     if rho.n_modes != sigma.n_modes:
         raise ValueError("mode counts differ")
-    if n**rho.n_modes > MAX_TOTAL_DIM:
-        raise ValueError(
-            f"total dimension {n**rho.n_modes} exceeds guard {MAX_TOTAL_DIM}"
-        )
+    if n > MAX_DIM:
+        raise ValueError(f"truncation {n} exceeds guard {MAX_DIM}")
     pairs = list(zip(rho.displacement, sigma.displacement))
-    undisplaced = all(u == 0 for pair in pairs for u in pair)
     if alpha > 1.0 and not sigma.faithful:
-        if not undisplaced:
+        if any(u != 0 for pair in pairs for u in pair):
             raise ValueError(
                 "sigma must be faithful within the truncation for alpha > 1"
             )
         if not support_contained(rho.temps, sigma.temps):
             return OracleTrace(math.inf, 0, n)
-    log_w_rho = _log_weights(rho.temps, alpha, n)
-    if undisplaced:  # M = 1
-        log_rows, clamped = log_w_rho, 0
-    else:
-        rows, clamped = _overlap_rows(pairs, alpha > 1.0, n, np.exp(log_w_rho))
-        with np.errstate(divide="ignore"):
-            log_rows = np.log(rows)
-    # lam_sigma^{1-alpha} never has to be representable on its own
-    terms = _log_weights(sigma.temps, 1.0 - alpha, n) + log_rows
-    top = terms.max()
-    if top == -math.inf:  # every row vanished, clamped or of zero weight
-        return OracleTrace(0.0, clamped, n)
-    log_total = top + math.log(np.exp(terms - top).sum())
-    value = math.exp(log_total) if log_total < _LOG_MAX else math.inf
-    return OracleTrace(value, clamped, n)
+    k = np.arange(n)
+    diag = _log_weights(rho.temps, alpha, k) + _log_weights(sigma.temps, 1.0 - alpha, k)
+    u = [a - b for a, b in pairs]
+    still = [j for j, z in enumerate(u) if z == 0]
+    moved = [j for j, z in enumerate(u) if z != 0]
+    log_t = _log_product(diag[still], 1)  # M = 1 on these modes
+    if moved:
+        # entry (k, m) is |<k+m|W|k>|^2 = |<k|W|k+m>|^2: it weighs rho's level
+        # k with sigma's k+m and, for m > 0, rho's k+m with sigma's k; on the
+        # geometric spectra that is diag[k] times e^{(alpha-1) s m} and
+        # e^{-alpha r m} (0 for m > 0 on a vacuum mode, r or s infinite)
+        r, s, m = np.array(rho.temps)[moved, None], np.array(sigma.temps)[moved, None], k[1:]
+        side = np.zeros((len(r), n))
+        side[:, 1:] = np.logaddexp(-alpha * r * m, (alpha - 1.0) * s * m)
+        terms = _log_entries(np.array(u, dtype=complex)[moved], n)
+        terms += diag[moved].T[:, :, None] + side
+        terms += np.where(np.add.outer(k, k) < n, 0.0, -np.inf)[:, None]  # k + m < n only
+        log_t += _log_product(terms, (0, 2))
+    value = math.exp(log_t) if log_t < _LOG_MAX else math.inf
+    return OracleTrace(value, 0, n)

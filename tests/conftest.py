@@ -9,6 +9,12 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+# one BLAS thread, set before any test imports numpy: with two OpenBLAS
+# threads the joint-space eigh test ran 2.4 times slower on an idle two-core
+# box, and 20 to 35 times slower with the other core busy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 
 @pytest.fixture
 def fresh_python():

@@ -7,6 +7,7 @@ runtime budget.
 import json
 import math
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,7 @@ from petz_renyi.displaced import (
     predict_finiteness,
 )
 from petz_renyi.oracle import displacement_matrix, oracle_trace
-from petz_renyi.states import ModeVector
+from petz_renyi.states import ModeVector, covariance
 from petz_renyi.thermal import alpha_threshold, d_alpha_thermal
 from petz_renyi.weyl import fejer_scan, laguerre, sine_interval_indices, weyl_diag
 
@@ -60,9 +61,62 @@ class Gate:
         return False
 
 
+def _exact_exponents(r, s, alpha):
+    # t_j = alpha r_j + (1-alpha) s_j of the doubles given, as exact rationals
+    fa = Fraction(alpha)
+    return [fa * Fraction(float(rj)) + (1 - fa) * Fraction(float(sj)) for rj, sj in zip(r, s)]
+
+
+def _occupation(z):
+    # covariance of the normalized power state at inverse temperature z, less
+    # the vacuum's 1/2: coth(z/2)/2 - 1/2 = 1/(e^z - 1), which keeps the
+    # digits that coth in floats loses once z is large
+    return 1.0 / math.expm1(z)
+
+
+def _check_verdict(r, s, u, alpha):
+    """Compare the package's three verdicts with ones it does not compute.
+
+    Returns whether the covariance comparison falls inside its 1e-9 band,
+    where it decides nothing (exactly at a threshold the covariances agree).
+    """
+    rho, sigma = spec(list(r), list(u)), spec(list(s))
+    finite, _ = predict_finiteness(rho, sigma, alpha)
+    witness = diagonal_divergence_witness(rho.temps, sigma.temps, list(u), alpha)
+    assert finite == covariance_equivalence(rho, sigma, alpha) == (witness is None)
+    ts = _exact_exponents(r, s, alpha)
+    assert finite == all(t > 0 for t in ts)
+    # the theorem's covariance form: V(sigma^{alpha-1}) > V(rho^alpha) per mode
+    cov_s, cov_r = covariance(list(s), alpha - 1.0), covariance(list(r), alpha)
+    excess = [(_occupation((alpha - 1.0) * sj), _occupation(alpha * rj)) for rj, sj in zip(r, s)]
+    for v, (e, _) in zip(cov_s, excess):
+        assert v == pytest.approx(0.5 + e, rel=1e-14)
+    for v, (_, e) in zip(cov_r, excess):
+        assert v == pytest.approx(0.5 + e, rel=1e-14)
+    in_band = any(abs(a - b) <= 1e-9 * max(a, b) for a, b in excess)
+    if not in_band:
+        assert finite == all(a > b for a, b in excess)
+    if not finite:
+        # the sampled diagonal terms e^{-t k} |<k|W(u)|k>|^2, from mpmath Laguerre
+        # values: at least 1 past the threshold, at least the Fejer floor C^2
+        # k^{-3/4} of the scan on it (t = 0)
+        t = ts[witness.mode - 1]
+        assert t <= 0 and witness.sample_indices
+        uj = complex(u[witness.mode - 1])
+        x = mp.mpf(abs(uj) ** 2)
+        c2 = 1.0 / (8.0 * math.pi * abs(uj)) if uj != 0 else 1.0
+        for k in witness.sample_indices:
+            term = mp.exp(-k * mp.mpf(t.numerator) / t.denominator) * (
+                mp.exp(-x / 2) * mp.laguerre(k, 0, x)
+            ) ** 2
+            assert term >= (1 if t < 0 else c2 * k**-0.75)
+    return in_band
+
+
 def test_criterion_1_threshold_theorem(capsys):
     with Gate(capsys, 1, "threshold theorem equivalence", 5.0):
         rng = np.random.default_rng(20230817)
+        in_band = 0
         for _ in range(200):
             n = int(rng.integers(1, 4))
             r = rng.uniform(0.1, 10.0, n)
@@ -71,15 +125,18 @@ def test_criterion_1_threshold_theorem(capsys):
             alpha = float(rng.uniform(1.0, 20.0))
             if alpha == 1.0:
                 continue
-            rho = spec(list(r), list(u))
-            sigma = spec(list(s))
-            finite, _ = predict_finiteness(rho, sigma, alpha)
-            by_cov = covariance_equivalence(rho, sigma, alpha)
-            no_wit = (
-                diagonal_divergence_witness(rho.temps, sigma.temps, list(u), alpha)
-                is None
-            )
-            assert finite == by_cov == no_wit
+            in_band += _check_verdict(r, s, u, alpha)
+        assert in_band == 0
+        # exact boundaries that doubles hold: divergent at alpha* (t = 0),
+        # finite one ulp below it; the covariances agree to the band at both,
+        # so the exact exponents decide
+        for r, s in ((1.0, 2.0), (0.5, 1.5)):
+            star = s / (s - r)
+            for alpha, finite in ((star, False), (math.nextafter(star, 0.0), True)):
+                assert (_exact_exponents([r], [s], alpha)[0] > 0) == finite
+                for u in (1.0, 0.0):
+                    assert predict_finiteness(spec([r], [u]), spec([s]), alpha)[0] == finite
+                    assert _check_verdict([r], [s], [u], alpha)
 
 
 def test_criterion_2_closed_form_vs_series(capsys):

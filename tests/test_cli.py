@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -496,3 +497,19 @@ def test_weyl_scan_infinite_constant_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: constant must be finite, got inf\n"
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_scripts_run(fresh_python):
+    # each demo script in a new interpreter, as a user runs it
+    program = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
+    for name in ("sweep_demo.py", "oracle_check.py", "fejer_demo.py"):
+        proc = fresh_python(program, str(SCRIPTS / name))
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        if name == "sweep_demo.py":
+            lines = proc.stdout.splitlines()
+            assert lines[0] == "alpha,finite,d_alpha,tail_bound,terms"
+            assert len(lines) > 1 and all(len(row.split(",")) == 5 for row in lines[1:])

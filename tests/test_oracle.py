@@ -2,18 +2,18 @@
 
 import ast
 import math
-import sys
 import tracemalloc
 import warnings
-from functools import reduce
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from petz_renyi import oracle
 from petz_renyi.displaced import DisplacedThermalSpec, d_alpha_displaced
 from petz_renyi.oracle import (
-    _element_bound,
+    MAX_DIM,
+    _log_entries,
     annihilation_matrix,
     displacement_matrix,
     oracle_trace,
@@ -136,9 +136,9 @@ def test_oracle_sigma_weights_beyond_double_range():
         warnings.simplefilter("error")
         tr = oracle_trace(rho, sigma, 1.5, 96)
     assert 0.0 < tr.value < math.inf
-    # the value where the weights are still in range
+    # the partial sum at n = 64, summed to 60 digits
     tr = oracle_trace(rho, sigma, 1.5, 64)
-    assert tr.value == pytest.approx(1.4522103044392586e36, rel=1e-12)
+    assert tr.value == pytest.approx(8.6220859179051097e79, rel=1e-12)
 
 
 def test_oracle_vacuum_conventions():
@@ -181,6 +181,18 @@ def test_oracle_two_mode_displaced():
         assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-8)
 
 
+def test_oracle_converges_on_the_benchmark_cases():
+    # the perfbench oracle cases at twice their truncations: 1e-13 of the
+    # closed form (at their own truncations perfbench allows 1e-10 and 1e-6)
+    two = (spec([0.8, 1.2], [0.6, 0.0]), spec([1.5, 2.0], [0.0, 0.3j]))
+    cases = [(spec([1.0]), spec([2.0]), a, 96) for a in (0.3, 0.5, 0.9, 1.5)]
+    cases += [(spec([1.0], [1.0]), spec([2.0]), a, 96) for a in (0.3, 0.7, 1.5)]
+    cases += [(*two, 1.5, 48), (*two, 0.5, 24), (*two, 0.5, 32)]
+    for rho, sigma, alpha, n in cases:
+        expect = math.exp(d_alpha_displaced(rho, sigma, alpha).series.log_sum)
+        assert oracle_trace(rho, sigma, alpha, 2 * n).value == pytest.approx(expect, rel=1e-13)
+
+
 def test_truncation_convergence_rate():
     rho = spec([1.0], [1.0])
     sigma = spec([2.0], [0.0])
@@ -212,7 +224,9 @@ def test_oracle_validation():
     with pytest.raises(ValueError):
         oracle_trace(rho, sigma, 0.5, 1)
     with pytest.raises(ValueError):
-        oracle_trace(spec([1.0, 1.0]), spec([2.0, 2.0]), 0.5, 96)  # guard
+        oracle_trace(rho, sigma, 0.5, MAX_DIM + 1)  # guard
+    with pytest.raises(ValueError, match="exceeds 1e50"):
+        oracle_trace(spec([1.0], [1e60]), sigma, 0.5, 8)  # |u|^2 beyond the recurrence
     with pytest.raises(ValueError):
         oracle_trace(spec([1.0], [1.0]), spec([math.inf], [0.0]), 1.5, 32)
 
@@ -261,26 +275,31 @@ def test_oracle_imports_no_closed_form():
     }
 
 
-def _dense_power(mat, p):
-    # fractional power through eigh; eigenvalues at roundoff level are the
-    # exact zeros of vacuum modes (the true spectra here stay above 1e-10)
+def _dense_spectrum(mat):
+    # eigh of a joint-space state; eigenvalues at roundoff level are the exact
+    # zeros of vacuum modes and of the truncation (the kept spectra here stay
+    # above 1e-10)
     w, v = np.linalg.eigh(mat)
-    w = np.where(w > 1e-13, w, 0.0)
-    return (v * w**p) @ v.conj().T
+    return np.where(w > 1e-13, w, 0.0), v
 
 
 def _dense_state(state, n):
+    # each mode's thermal state truncated to its n largest eigenvalues, then
+    # displaced by the first n columns of a displacement matrix built at
+    # 2n + 4|u|^2 + 8 levels, in a joint space of 2n levels per mode
     out = np.ones((1, 1))
     for s, u in zip(state.temps, state.displacement):
-        g = thermal_matrix(s, n)
+        w = np.eye(2 * n)
         if u != 0:
-            w = displacement_matrix(u, n)
-            g = w @ g @ w.conj().T
-        out = np.kron(out, g)
+            w = displacement_matrix(u, int(2 * n + 4 * abs(u) ** 2 + 8))[: 2 * n]
+        out = np.kron(out, w[:, :n] @ thermal_matrix(s, n) @ w[:, :n].conj().T)
     return out
 
 
 def test_structured_route_matches_dense_reference():
+    # the partial sum over the kept eigenvalues against the joint-space
+    # eigenbases, found by eigh without the Weyl relation or the product
+    # over modes: tr(rho^a sigma^(1-a)) = sum_ij p_i^a q_j^(1-a) |<p_i|q_j>|^2
     n = 12
     pairs = [
         (spec([0.8], [0.7]), spec([1.0], [0.0])),
@@ -289,94 +308,111 @@ def test_structured_route_matches_dense_reference():
         (spec([0.8, 1.0], [0.5, 0.2j]), spec([0.9, math.inf], [0.0, -0.3])),
     ]
     for rho, sigma in pairs:
-        dense_rho, dense_sigma = _dense_state(rho, n), _dense_state(sigma, n)
+        p, vp = _dense_spectrum(_dense_state(rho, n))
+        q, vq = _dense_spectrum(_dense_state(sigma, n))
+        overlap = np.abs(vq.conj().T @ vp) ** 2
         for alpha in (0.3, 0.7):
-            expect = np.trace(
-                _dense_power(dense_rho, alpha) @ _dense_power(dense_sigma, 1.0 - alpha)
-            ).real
+            expect = q ** (1.0 - alpha) @ overlap @ p**alpha
             tr = oracle_trace(rho, sigma, alpha, n)
             assert tr.value == pytest.approx(expect, rel=1e-12)
             assert tr.clamped == 0
 
 
-def _scalar_bound(u, n):
-    x = abs(u) ** 2
-    log_u = 0.5 * math.log(x)
-    out = np.empty((n, n))
-    for el in range(n):
-        for k in range(n):
-            t = [
-                (el + k - 2 * j) * log_u
-                + 0.5 * (math.lgamma(el + 1) + math.lgamma(k + 1))
-                - math.lgamma(el - j + 1)
-                - math.lgamma(k - j + 1)
-                - math.lgamma(j + 1)
-                for j in range(min(el, k) + 1)
-            ]
-            top = max(t)
-            log_sum = top + math.log(math.fsum(math.exp(v - top) for v in t))
-            out[el, k] = math.exp(min(700.0, -0.5 * x + log_sum))
-    return out
-
-
-def test_element_bound_matches_scalar_loop():
-    for u in (0.3j, 1.0, 1 + 1j, 3.0):
-        for n in (2, 7, 24):
-            got = _element_bound(u, n)
-            assert got == pytest.approx(_scalar_bound(u, n), rel=1e-13, abs=0.0)
-
-
-def test_element_bound_dominates_displacement_matrix():
-    n = 24
-    for u in (0.3j, 1.0, 1 + 1j):
-        w = displacement_matrix(u, 2 * n)[:n, :n]
-        assert (np.abs(w) <= _element_bound(u, n) * (1 + 1e-8) + 1e-12).all()
-
-
-def _log_domain_rows(u, n, rows):
-    # log of the scalar loop's sum, one max-shifted log-sum-exp per entry
-    x = abs(u) ** 2
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    k = np.arange(n)[:, None]
-    out = {}
-    for el in rows:
-        j = np.arange(el + 1)
-        t = np.where(
-            j <= k,
-            (el + k - 2 * j) * 0.5 * math.log(x)
-            + 0.5 * (lg[el] + lg[k])
-            - lg[el - j]
-            - lg[abs(k - j)]
-            - lg[j],
-            -np.inf,
+def _entry_mp(el, k, x):
+    # |<el|W(u)|k>|^2 for el >= k and x = |u|^2, by the binomial sum of
+    # L_k^{(el-k)}(x) at a precision that absorbs its cancellation: the sum
+    # of the terms' moduli is below 2^el e^x
+    m = el - k
+    with mp.workdps(60 + int((el * math.log(2) + x) / math.log(10))):
+        xm = mp.mpf(x)
+        lag = mp.fsum(
+            (-1) ** i * mp.binomial(el, k - i) * xm**i / mp.factorial(i)
+            for i in range(k + 1)
         )
-        top = t.max(axis=1)
-        out[el] = -0.5 * x + top + np.log(np.exp(t - top[:, None]).sum(axis=1))
-    return out
+        return +(mp.exp(-xm) * mp.factorial(k) / mp.factorial(el) * xm**m * lag**2)
 
 
-def test_element_bound_where_e_leaves_double_range():
-    # u=56, n=800: E[j, j] = e^{-x/4} = e^{-784} underflows; u=46, n=1500:
-    # some entries of E exceed e^709 and the bound reaches its e^700 cap
-    for u, n in ((56.0, 800), (46.0, 1500)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _element_bound(u, n)
-        assert not np.isnan(got).any()
-        assert (got == got.T).all()
-        for el, log_ref in _log_domain_rows(u, n, (0, 1, n // 7, n // 2, n - 1)).items():
-            ref = np.exp(np.minimum(700.0, log_ref))
-            # an upper bound wherever the log-domain value is a normal double
-            normal = ref >= sys.float_info.min
-            assert normal.any()
-            assert (got[el][normal] >= ref[normal] * (1 - 1e-10)).all()
-        if n == 1500:
-            assert got.max() == math.exp(700.0)
+def _entries_match(log_w2, x, picks):
+    # relative error in the log domain, or absolute error on |W| <= 1 where
+    # the entry sits at or near a zero of its Laguerre polynomial
+    for el, k in picks:
+        ref = _entry_mp(el, k, x)
+        got = log_w2[k, 0, el - k]
+        near_zero = abs(math.exp(0.5 * got) - float(mp.sqrt(ref))) < 1e-14
+        assert near_zero or abs(got - float(mp.log(ref))) < 1e-12, (x, el, k)
+
+
+def test_entries_match_mpmath():
+    # x = 100 at n = 768 runs the exponent register; the others do not need it
+    rng = np.random.default_rng(20261019)
+    for x, n in ((0.01, 48), (1.0, 96), (4.7, 96), (25.0, 192), (100.0, 768)):
+        u = math.sqrt(x)
+        x = abs(u) ** 2  # the double the oracle squares
+        picks = []
+        for _ in range(30):
+            k = int(rng.integers(0, n))
+            picks.append((int(rng.integers(k, n)), k))
+        _entries_match(_log_entries(np.array([complex(u)]), n), x, picks)
+
+
+def test_entries_at_laguerre_zeros():
+    # exact zeros: L_1(1) = 0 and L_1^{(1)}(2) = 0
+    for x, el, k in ((1.0, 1, 1), (2.0, 2, 1)):
+        assert _log_entries(np.array([complex(math.sqrt(x))]), 4)[k, 0, el - k] < -60.0
+    # the double nearest a zero of L_10^{(3)} and of L_40^{(7)}
+    for k, m, guess in ((10, 3, 5.0), (40, 7, 30.0)):
+        with mp.workdps(60):
+            root = float(mp.findroot(lambda t: mp.laguerre(k, m, t), guess))
+        u = math.sqrt(root)
+        x = abs(u) ** 2
+        log_w2 = _log_entries(np.array([complex(u)]), k + m + 1)
+        _entries_match(log_w2, x, [(k + m, k), (k + m, k - 1), (k + m - 1, k - 1)])
+
+
+def test_exponent_register_leaves_entries_unchanged(monkeypatch):
+    # a rescale threshold of 1e3 puts the register to work at every few steps
+    u = np.array([1.0, 2.5 - 1j, 0.1j])
+    plain = _log_entries(u, 64)
+    monkeypatch.setattr(oracle, "_RESCALE", 1e3)
+    rescaled = _log_entries(u, 64)
+    finite = np.isfinite(plain)
+    assert (finite == np.isfinite(rescaled)).all()
+    assert np.abs(rescaled[finite] - plain[finite]).max() < 1e-11
+
+
+def test_oracle_where_the_register_is_needed():
+    # x = 100 at n = 768: without the register the recurrence overflows at
+    # large k + m (outside the truncation, where the -inf mask then meets
+    # +inf); with it the table holds no +inf and the sum below order one
+    # has converged (above it, n = 768 is far from enough at |u| = 10)
+    u = np.array([10.0 + 0j])
+    assert not np.isposinf(_log_entries(u, 768)).any()
+    rho, sigma = spec([1.0], [10.0]), spec([2.0])
+    for alpha in (0.3, 0.7):
+        expect = math.exp(d_alpha_displaced(rho, sigma, alpha).series.log_sum)
+        assert oracle_trace(rho, sigma, alpha, 768).value == pytest.approx(expect, rel=1e-12)
+
+
+def test_partial_sums_rise_with_truncation():
+    # every term is nonnegative, so T_N is nondecreasing in N, at either
+    # side of order one and past the threshold too
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        modes = int(rng.integers(1, 3))
+        r = list(rng.uniform(0.2, 3.0, modes))
+        s = list(rng.uniform(0.2, 3.0, modes))
+        u = list(rng.uniform(-2, 2, modes) + 1j * rng.uniform(-2, 2, modes))
+        alpha = float(rng.choice([0.3, 0.8, 1.2, 2.5]))
+        values = [oracle_trace(spec(r, u), spec(s), alpha, n).value for n in (4, 8, 16, 32, 64)]
+        for lo, hi in zip(values, values[1:]):
+            assert hi >= lo * (1 - 1e-13)
 
 
 def test_modewise_rows_match_kronecker_below_one():
-    # three modes, each displaced in rho only, in sigma only and in both: the
-    # axis order of the mode-wise contraction against one explicit np.kron
+    # three modes, each displaced in rho only, in sigma only and in both:
+    # the product over modes against one explicit np.kron of the overlaps
+    # M_j = W(u_sigma)^dag W(u_rho), whose first n columns come from
+    # displacement matrices built at 2n + 4|u|^2 + 8 levels
     r, s = (0.8, 1.0, 1.3), (0.9, 0.7, 1.6)
     u_rho, u_sigma = (0.6, 0.0, 0.4 + 0.2j), (0.0, 0.3j, -0.25)
     n = 12
@@ -384,10 +420,9 @@ def test_modewise_rows_match_kronecker_below_one():
         m2 = np.ones((1, 1))
         w_rho, w_sigma = np.ones(1), np.ones(1)
         for rj, sj, u1, u2 in zip(r, s, u_rho, u_sigma):
-            mode = np.eye(n) if u1 == 0 else displacement_matrix(u1, n)
-            if u2 != 0:
-                mode = displacement_matrix(u2, n).conj().T @ mode
-            m2 = np.kron(m2, np.abs(mode) ** 2)
+            big = int(2 * n + 4 * max(abs(u1), abs(u2)) ** 2 + 8)
+            w1, w2 = (np.eye(big) if u == 0 else displacement_matrix(u, big) for u in (u1, u2))
+            m2 = np.kron(m2, np.abs(w2[:, :n].conj().T @ w1[:, :n]) ** 2)
             w_rho = np.kron(w_rho, np.diag(thermal_matrix(rj, n)).real ** alpha)
             w_sigma = np.kron(w_sigma, np.diag(thermal_matrix(sj, n)).real ** (1 - alpha))
         expect = w_sigma @ m2 @ w_rho
@@ -396,121 +431,34 @@ def test_modewise_rows_match_kronecker_below_one():
         assert tr.clamped == 0
 
 
-def _kron(mats):
-    return reduce(np.kron, mats)
-
-
-def _kronecker_parts(r, s, u_rho, u_sigma, alpha, n):
-    # each mode's |M_j|^2 and bound, and the (n^m x n^m) weights, explicitly
-    m2, b = [], []
-    for u1, u2 in zip(u_rho, u_sigma):
-        mode_m, mode_b = np.eye(n), np.eye(n)
-        if u1 != 0:
-            mode_m, mode_b = displacement_matrix(u1, n), _element_bound(u1, n)
-        if u2 != 0:
-            mode_m = displacement_matrix(u2, n).conj().T @ mode_m
-            mode_b = _element_bound(u2, n).T @ mode_b
-        m2.append(np.abs(mode_m) ** 2)
-        b.append(mode_b)
-    w_rho = _kron([np.diag(thermal_matrix(rj, n)).real ** alpha for rj in r])
-    w_sigma = _kron([np.diag(thermal_matrix(sj, n)).real ** (1 - alpha) for sj in s])
-    return m2, b, w_sigma[:, None] * w_rho[None, :]
-
-
-def _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n):
-    # the product rule: the whole overlap at once, zeroing entries with m2 > 4 b^2
-    m2, b, w = _kronecker_parts(r, s, u_rho, u_sigma, alpha, n)
-    m2, b = _kron(m2), _kron(b)
-    noisy = m2 > 4.0 * b**2
-    return (w * np.where(noisy, 0.0, m2)).sum(), int(np.count_nonzero(noisy))
-
-
-def _factor_clamped_trace(r, s, u_rho, u_sigma, alpha, n):
-    # the oracle's rule: zero each factor's m2 > 4 b^2, then form the whole
-    # overlap; the count is of its nonzero entries that the clamp zeroed
-    m2, b, w = _kronecker_parts(r, s, u_rho, u_sigma, alpha, n)
-    kept = _kron([np.where(a > 4.0 * bj**2, 0.0, a) for a, bj in zip(m2, b)])
-    return (w * kept).sum(), int(np.count_nonzero(_kron(m2)) - np.count_nonzero(kept))
-
-
-def test_blocked_clamp_matches_full_kronecker():
-    # converged: the per-factor clamp gives the product rule's value, while
-    # it zeroes more entries (those whose partner factor entry is small)
-    n, alpha = 24, 1.5
-    r, s = (0.8, 1.2), (1.5, 2.0)
-    # each mode displaced in rho only, in sigma only, in both or in neither
-    for u_rho, u_sigma in (
-        ((0.6, 0.0), (0.0, 0.3j)),
-        ((0.6, 0.2), (0.0, 0.3j)),
-        ((0.5, 0.0), (0.0, 0.0)),
-    ):
-        expect, _ = _full_kronecker_trace(r, s, u_rho, u_sigma, alpha, n)
-        per_factor, clamped = _factor_clamped_trace(r, s, u_rho, u_sigma, alpha, n)
-        tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), alpha, n)
-        assert tr.clamped == clamped > 0
-        assert tr.value == pytest.approx(expect, rel=1e-12)
-        assert tr.value == pytest.approx(per_factor, rel=1e-12)
-
-
-def test_multimode_clamp_matches_full_kronecker():
-    # an even split (4 modes: each displaced in rho only, sigma only, rho
-    # only, both) and an uneven one (3 modes: one leading, two trailing)
-    counts = []
-    for n, r, s, u_rho, u_sigma in (
-        (
-            6,
-            (0.8, 1.0, 1.2, 0.9),
-            (1.5, 2.0, 1.7, 1.6),
-            (2.0, 0.0, 1.5j, 0.4),
-            (0.0, 0.3j, 0.0, -0.2j),
-        ),
-        (8, (0.8, 1.0, 1.2), (1.5, 2.0, 1.7), (0.6, 0.0, 0.4), (0.0, 1e-300j, -0.2j)),
-    ):
-        expect, clamped = _factor_clamped_trace(r, s, u_rho, u_sigma, 1.5, n)
-        tr = oracle_trace(spec(list(r), list(u_rho)), spec(list(s), list(u_sigma)), 1.5, n)
-        assert tr.clamped == clamped
-        assert tr.value == pytest.approx(expect, rel=1e-12)
-        counts.append(clamped)
-    # no factor at n=6 exceeds twice its bound; at n=8 the 1e-300j factor's
-    # bound underflows off the diagonal, where eigh leaves roundoff
-    assert counts[0] == 0 < counts[1]
-
-
-def test_one_mode_clamp_is_the_product_rule():
-    # with one factor the per-factor and the product rules are the same test
-    for n in (8, 24, 64):
-        for u_rho, u_sigma in ((1.0, 0.0), (0.0, 1 + 1j), (0.5, -0.3j), (3.0, 0.0), (1e-300, 0.0)):
-            expect, clamped = _full_kronecker_trace((1.0,), (2.0,), (u_rho,), (u_sigma,), 1.5, n)
-            tr = oracle_trace(spec([1.0], [u_rho]), spec([2.0], [u_sigma]), 1.5, n)
-            assert tr.clamped == clamped
-            assert tr.value == pytest.approx(expect, rel=1e-12)
-
-
 def test_clamp_working_set_stays_small():
-    # 12 modes at n=2: the full overlap has 4096^2 entries; the rows hold
-    # twelve 2x2 factors and one 4096-entry tensor
-    rho, sigma = spec([1.0] * 12, [1.5] * 12), spec([2.0] * 12)
+    # 8 displaced modes at n = 192: a joint space would hold 192^8 levels;
+    # the oracle holds a few (k, m) tables of 8 x 192^2 doubles (2.25 MB)
+    rho, sigma = spec([1.0] * 8, [1.5] * 8), spec([2.0] * 8)
     tracemalloc.start()
     try:
-        tr = oracle_trace(rho, sigma, 1.5, 2)
+        tr = oracle_trace(rho, sigma, 1.5, 192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tr.clamped > 0
-    assert peak < 32 * 2**20
+    one = oracle_trace(spec([1.0], [1.5]), spec([2.0]), 1.5, 192)
+    assert tr.value == pytest.approx(one.value**8, rel=1e-14)
+    assert tr.clamped == 0
+    assert peak < 5 * 8 * 192**2 * 8
 
 
 def test_oracle_all_clamped_is_zero():
-    # every entry of M lies above twice its bound: the truncated sum is 0
+    # |u| = 10 at n = 8: every kept entry is of order e^{-100} or less; the
+    # partial sum, summed to 60 digits, is about 1.3e-25 and not 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tr = oracle_trace(spec([1.0], [10.0]), spec([2.0]), 1.5, 8)
-    assert tr.value == 0.0
-    assert tr.clamped == 64
+    assert tr.value == pytest.approx(1.3072277816036716e-25, rel=1e-13)
+    assert tr.clamped == 0
 
 
 def test_oracle_tiny_displacement():
-    # |u|^2 underflows to 0 for |u| = 1e-300: the bound takes log|u| instead
+    # |u|^2 underflows to 0 for |u| = 1e-300: the entries take log|u| instead
     n = 24
     plain = oracle_trace(spec([1.0]), spec([2.0]), 1.5, n).value
     for u in (1e-300, 1e-300j):
@@ -518,8 +466,7 @@ def test_oracle_tiny_displacement():
             warnings.simplefilter("error")
             tr = oracle_trace(spec([1.0], [u]), spec([2.0]), 1.5, n)
         assert tr.value == pytest.approx(plain, rel=1e-12)
-        _, clamped = _full_kronecker_trace((1.0,), (2.0,), (u,), (0.0,), 1.5, n)
-        assert tr.clamped == clamped
+        assert tr.clamped == 0
 
 
 def test_oracle_displaced_against_vacuum_below_one():
