@@ -310,7 +310,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_weyl_scan(args) -> int:
-    # imported here: weyl needs numpy, which no other command but validate loads
+    # imported here: only this command runs the Laguerre recurrence (standard library)
     from .weyl import default_fejer_constant, fejer_scan, sine_interval_indices
 
     u = complex(args.u_re, args.u_im)

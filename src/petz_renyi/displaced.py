@@ -131,6 +131,7 @@ def covariance_equivalence(
 
 _WITNESS_SCAN = 1024
 _WITNESS_SAMPLE = 16
+_WITNESS_REACH = 2**20  # caps x/4: the recurrence climbs from k = 0 to the scan
 
 
 def diagonal_divergence_witness(
@@ -140,15 +141,18 @@ def diagonal_divergence_witness(
 
     If some mode has ``alpha r + (1-alpha) s <= 0``, its diagonal series terms
     ``e^{-k (alpha r + (1-alpha) s)} |<W(u) k|k>|^2`` do not decay: along the
-    Fejer scan indices ``k <= 1024`` the squared element is bounded below by
-    ``C^2 / k^{3/4}`` while the exponential factor is nondecreasing.  One
-    Laguerre pass yields both the scan and the (at most 16) sampled indices.
-    Returns ``None`` when every exponent is positive (the convergent regime).
-    Preconditions are those of :func:`covariance_criterion`.
+    Fejer scan indices the squared element is bounded below by ``C^2 /
+    k^{3/4}`` while the exponential factor is nondecreasing.  The scan covers
+    1,024 indices from ``max(1, floor(x/4) - 64)``, ``x = |u_j|^2``, since the
+    oscillation of ``L_k(x)`` begins near ``k = x/4``; one Laguerre pass
+    yields both the scan and the (at most 16) sampled indices.  Returns
+    ``None`` when every exponent is positive (the convergent regime).  Raises
+    ``ValueError`` where ``x/4 > 2^20`` (``|u_j| > 2048``) and where the scan
+    holds no hit, so the sample is never empty.  Preconditions are those of
+    :func:`covariance_criterion`.
     """
-    import numpy as np  # imported here: the closed forms and the CLI never need it
-
-    from .weyl import _fejer_hits, weyl_diag_sequence
+    # imported here: the closed forms never run the Laguerre recurrence
+    from .weyl import _diag_window, _fejer_hits, _squared_modulus
 
     ts, bad = _gated_exponents(r, s, alpha)
     if len(u) != len(r):
@@ -162,20 +166,25 @@ def diagonal_divergence_witness(
         # every diagonal element is 1; sample arbitrary indices
         sample = tuple(2**i for i in range(_WITNESS_SAMPLE))
     else:
-        # the sequence refuses a non-finite |u_j|^2 before C is formed.  C is
-        # half the Fejer amplitude of the damped element e^{-|u|^2/2} L_k(|u|^2)
-        # at the sine floor; keep the hits whose series term has already
-        # reached 1, which is all but a short burn-in when the exponent is
-        # negative
-        diag = np.abs(weyl_diag_sequence(_WITNESS_SCAN, uj))
+        # |u_j|^2 is checked finite before C is formed.  C is half the Fejer
+        # amplitude of the damped element e^{-|u|^2/2} L_k(|u|^2) at the sine
+        # floor; keep the hits whose series term has already reached 1, which
+        # is all but a short burn-in when the exponent is negative
+        x = _squared_modulus(uj)
+        if not x / 4.0 <= _WITNESS_REACH:
+            raise ValueError(f"|u| = {abs(uj)} puts the Laguerre oscillation beyond k = 2^20")
+        lo = max(1, math.floor(x / 4.0) - 64)
+        window = list(_diag_window(x, lo, lo + _WITNESS_SCAN - 1))
         c = 1.0 / (2.0 * math.sqrt(2.0 * math.pi * abs(uj)))
-        hits = _fejer_hits(diag, c)
+        hits = _fejer_hits(window, x, c)
         if not hits and c > 1.0:
             # |u_j| below about 2.2e-4 puts the first hit past the scan
             # (k >= c^{8/3}); there every element is near 1: take them all
-            hits = list(range(1, _WITNESS_SCAN + 1))
-        evident = [k for k in hits if -expo * k + 2.0 * np.log(diag[k]) >= 0.0]
-        sample = tuple((evident or hits)[:_WITNESS_SAMPLE])
+            hits = _fejer_hits(window, x, 0.0)
+        if not hits:
+            raise ValueError(f"no Fejer hit among the scanned indices at |u| = {abs(uj)}")
+        evident = [(k, mag) for k, mag in hits if -expo * k + 2.0 * math.log(mag) >= 0.0]
+        sample = tuple(k for k, _ in (evident or hits)[:_WITNESS_SAMPLE])
     return DivergenceWitness(
         kind="diagonal-subseries",
         mode=j,

@@ -14,7 +14,8 @@ from one upward three-term recurrence, ``_laguerre_run``.  The direct
 binomial sum cancels catastrophically beyond degree ~20 and survives only in
 the exact-rational test oracles.  The recurrence carries a separate exponent
 register so that degrees and arguments far beyond the overflow range of a
-bare double stay usable.
+bare double stay usable.  The scans read that recurrence in one streamed
+pass, on the standard library alone.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .states import Record, _as_index
 
@@ -62,16 +61,19 @@ def laguerre(j: int, x: float) -> float:
 def _laguerre_run(n: int, x: float, m: int = 0) -> Iterator[Tuple[float, float]]:
     """``(v, e)`` with ``L_j^{(m)}(x) = v e^e`` for ``j = 0, 1, ..., n``.
 
-    The upward three-term recurrence from ``L_{-1} = 0`` and ``L_0 = 1``; the
-    exponent register ``e`` absorbs a rescaling whenever a value passes
-    ``_RESCALE``.
+    The upward three-term recurrence from ``L_{-1} = 0`` and ``L_0 = 1``.  A
+    step multiplies the larger carried value by at most ``3 + 2m + x``, so
+    the exponent register ``e`` absorbs a rescaling whenever a value passes
+    ``_RESCALE`` divided by that factor, before the next step could leave
+    double range.
     """
+    limit = _RESCALE / (3.0 + 2 * m + x)
     prev, curr, offset = 0.0, 1.0, 0.0
     yield curr, offset
     for j in range(n):
         prev, curr = curr, ((2 * j + 1 + m - x) * curr - (j + m) * prev) / (j + 1)
         a = max(abs(prev), abs(curr))
-        if a > _RESCALE:
+        if a > limit:
             prev, curr, offset = prev / a, curr / a, offset + math.log(a)
         yield curr, offset
 
@@ -90,13 +92,14 @@ def weyl_diag(j: int, u: complex) -> float:
     return weyl_element(j, j, u).real
 
 
-def weyl_diag_sequence(jmax: int, u: complex) -> np.ndarray:
+def weyl_diag_sequence(jmax: int, u: complex) -> Tuple[float, ...]:
     """``weyl_diag(j, u)`` for all ``j <= jmax`` in one recurrence pass."""
     jmax, x = _degree(jmax), _element_modulus(u)
-    pairs = itertools.chain.from_iterable(_laguerre_run(jmax, x))
-    v, offset = np.fromiter(pairs, float, 2 * (jmax + 1)).reshape(-1, 2).T
-    with np.errstate(divide="ignore"):
-        return np.sign(v) * np.exp(np.log(np.abs(v)) + offset - 0.5 * x)
+    half = 0.5 * x
+    return tuple(
+        math.copysign(math.exp(math.log(abs(v)) + e - half), v) if v else 0.0
+        for v, e in _laguerre_run(jmax, x)
+    )
 
 
 def weyl_element(row: int, col: int, u: complex) -> complex:
@@ -202,11 +205,22 @@ def default_fejer_constant(u: complex) -> float:
 _FEJER_EXPONENT = 0.375
 
 
-def _fejer_hits(mags: np.ndarray, c: float) -> List[int]:
-    """Indices ``j >= 1`` with ``mags[j] = |<j|W(u)|j>| >= c * j^{-3/8}``."""
-    j = np.arange(1, len(mags), dtype=float)
-    ok = mags[1:] >= c * j ** (-_FEJER_EXPONENT)
-    return [int(i) for i in np.nonzero(ok)[0] + 1]
+def _diag_window(x: float, lo: int, hi: int) -> Iterator[Tuple[int, Tuple[float, float]]]:
+    """``(j, (v, e))`` of one ``_laguerre_run`` at ``x``, for ``lo <= j <= hi``."""
+    return itertools.islice(enumerate(_laguerre_run(hi, x)), lo, None)
+
+
+def _fejer_hits(window: Iterable, x: float, c: float) -> List[Tuple[int, float]]:
+    """``(j, |<j|W(u)|j>|)`` along a :func:`_diag_window` (``j >= 1``) at ``x =
+    |u|^2`` where the element, formed once as ``exp(log|v| + e - x/2)``, is at
+    least ``c * j^{-3/8}``."""
+    half = 0.5 * x
+    return [
+        (j, mag)
+        for j, (v, e) in window
+        if (mag := math.exp(math.log(abs(v)) + e - half) if v else 0.0)
+        >= c * j**-_FEJER_EXPONENT
+    ]
 
 
 def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
@@ -215,13 +229,14 @@ def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
     With the default constant the qualifying set has positive density, so the
     count keeps growing with ``j_max`` (no saturation).
     """
-    _squared_modulus(u)
+    x = _squared_modulus(u)
     if c is None:
         c = default_fejer_constant(u)
     if not (c > 0.0):
         raise ValueError(f"constant must be positive, got {c}")
     if math.isinf(c):
         raise ValueError(f"constant must be finite, got {c}")
-    if _as_index(j_max, "j_max") < 1:
+    j_max = _as_index(j_max, "j_max")
+    if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    return _fejer_hits(np.abs(weyl_diag_sequence(j_max, u)), c)
+    return [j for j, _ in _fejer_hits(_diag_window(x, 1, j_max), x, c)]

@@ -217,7 +217,9 @@ def test_diagonal_witness_examples():
     assert diagonal_divergence_witness(r, s, [1.0], 1.5) is None
 
 
-@pytest.mark.parametrize("u", [3.0, 5 + 5j, 10.0])
+# from |u| about 65 up, a scan of k <= 1024 ended before the Laguerre
+# oscillation, which starts near k = |u|^2/4, and sampled nothing
+@pytest.mark.parametrize("u", [3.0, 5 + 5j, 10.0, 70.0, 100j, 1000.0])
 @pytest.mark.parametrize("alpha", [3.0, 5.0])
 def test_diagonal_witness_large_displacement(u, alpha):
     r, s = ModeVector([1.0]), ModeVector([2.0])  # exponent 1*alpha - 2*(alpha-1) <= -1
@@ -246,6 +248,28 @@ def test_diagonal_witness_small_displacement_samples():
             for k in w.sample_indices:
                 # the series term e^{-expo k} |<k|W(u)|k>|^2 stays near 1 or above
                 assert -w.exponent * k + 2.0 * math.log(abs(diag[k])) >= -1e-4
+
+
+def test_diagonal_witness_refuses_beyond_its_reach():
+    # |u|^2/4 above 2^20 puts the oscillation past the indices the scan reaches
+    r, s = ModeVector([1.0]), ModeVector([2.0])
+    assert diagonal_divergence_witness(r, s, [2048.0], 3.0).sample_indices
+    for u in (2049.0, 1e100):
+        with pytest.raises(ValueError, match="2\\^20"):
+            diagonal_divergence_witness(r, s, [u], 3.0)
+
+
+def test_diagonal_witness_leaves_numpy_unloaded(fresh_python):
+    program = (
+        "import sys\n"
+        "from petz_renyi.displaced import diagonal_divergence_witness\n"
+        "from petz_renyi.states import ModeVector\n"
+        "w = diagonal_divergence_witness(ModeVector([1.0]), ModeVector([2.0]), [1.0], 3.0)\n"
+        "assert w.sample_indices\n"
+        "assert 'numpy' not in sys.modules, 'the diagonal witness loaded numpy'\n"
+    )
+    proc = fresh_python(program)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_diagonal_witness_reads_one_laguerre_pass(monkeypatch):

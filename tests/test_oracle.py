@@ -2,6 +2,7 @@
 
 import ast
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -273,6 +274,28 @@ def test_oracle_imports_no_closed_form():
         "validate_order",
         "DisplacedThermalSpec",
     }
+
+
+def test_only_the_oracle_imports_numpy():
+    # the closed forms, the Weyl scans, the witness and the CLI run on the
+    # standard library; numpy loads only for the oracle
+    package = os.path.dirname(oracle.__file__)
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.add(name)
+    assert importers == {"oracle.py"}
 
 
 def _dense_spectrum(mat):

@@ -114,6 +114,40 @@ def test_degrees_and_counts_must_be_integers():
     assert sine_interval_indices(0.1, np.int32(3)) == sine_interval_indices(0.1, 3)
 
 
+def test_recurrence_rescales_before_a_step_overflows():
+    # a step multiplies by about x: rescaling after it would meet inf/inf
+    with pytest.raises(ValueError, match="double range"):
+        laguerre(10, 1e155)
+    # e^{-x/2} with x = 1e160 takes the element to 0, not to nan
+    assert weyl_element(12, 2, 1e80) == 0.0
+    assert weyl_element(2, 12, 1e80) == 0.0
+
+
+def test_weyl_diag_sequence_is_a_tuple_of_floats():
+    seq = weyl_diag_sequence(40, 1 + 1j)
+    assert type(seq) is tuple and len(seq) == 41
+    assert all(type(v) is float for v in seq)
+
+
+def test_fejer_scan_pins_the_plain_double_reference():
+    # the plain-double recurrence for e^{-x/2} L_j(x) at u = 1, as perfbench's
+    # weyl-scan check computes it; a tie at the hit threshold that flipped
+    # would change the count or the head
+    x = 1.0
+    c = math.exp(0.5 * x) / (2.0 * math.sqrt(2.0 * math.pi))
+    damp = math.exp(-0.5 * x)
+    prev, cur = 1.0, 1.0 - x
+    want = []
+    for j in range(1, 20001):
+        if j > 1:
+            prev, cur = cur, ((2 * j - 1 - x) * cur - (j - 1) * prev) / j
+        if abs(damp * cur) >= c * j**-0.375:
+            want.append(j)
+    got = fejer_scan(1, 20000)
+    assert len(got) == len(want) == 17507
+    assert got[:50] == want[:50]
+
+
 def test_weyl_diag_is_the_element_diagonal():
     for u in (0, 1e-170, 0.3, 1 + 1j, 7j, 12.0):
         for j in (0, 1, 17, 150):
@@ -156,7 +190,7 @@ def test_fejer_residual_slope():
     for x in (0.25, 1.0, 4.0):
         u = math.sqrt(x)
         jmax = 100000
-        vals = weyl_diag_sequence(jmax, u)
+        vals = np.asarray(weyl_diag_sequence(jmax, u))
         js = np.arange(100, jmax + 1)
         main = (
             math.exp(-x / 2.0)
