@@ -22,8 +22,7 @@ _EXPORTS = {
         "weyl": "SineIntervalWitness default_fejer_constant fejer_scan laguerre"
         " sine_interval_indices weyl_diag weyl_diag_sequence weyl_element",
         "displaced": "DisplacedEntropyResult DisplacedThermalSpec SeriesEstimate"
-        " covariance_equivalence d_alpha_displaced diagonal_divergence_witness"
-        " predict_finiteness relative_displacement",
+        " d_alpha_displaced diagonal_divergence_witness relative_displacement",
         "oracle": "OracleTrace annihilation_matrix displacement_matrix oracle_trace thermal_matrix",
     }.items()
     for name in names.split()

@@ -23,24 +23,13 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from .states import ModeVector, Record
-from .thermal import (
-    DivergenceWitness,
-    SupportViolation,
-    ThresholdResult,
-    _d_alpha,
-    _gated_exponents,
-    alpha_threshold,
-    covariance_criterion,
-    validate_order,
-)
+from .thermal import DivergenceWitness, _d_alpha, _gated_exponents
 
 __all__ = [
     "DisplacedThermalSpec",
     "SeriesEstimate",
     "DisplacedEntropyResult",
     "relative_displacement",
-    "predict_finiteness",
-    "covariance_equivalence",
     "d_alpha_displaced",
     "diagonal_divergence_witness",
 ]
@@ -99,34 +88,6 @@ def relative_displacement(
             f"mode counts differ: {rho.n_modes} vs {sigma.n_modes}"
         )
     return tuple(a - b for a, b in zip(rho.displacement, sigma.displacement))
-
-
-def predict_finiteness(
-    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float
-) -> Tuple[bool, Optional[ThresholdResult]]:
-    """Analytic finiteness verdict; independent of the displacements.
-
-    Finite iff ``alpha r_j + (1-alpha) s_j > 0`` for every mode, decided
-    exactly (``alpha < alpha*``; the returned threshold is reported, not
-    compared); above order one both states must be faithful.  Orders in
-    (0,1) are always finite; there the threshold is attached only when
-    support containment makes it well defined.
-    """
-    alpha = validate_order(alpha)
-    if alpha > 1.0:
-        finite = not _gated_exponents(rho.temps, sigma.temps, alpha)[1]
-        return finite, alpha_threshold(rho.temps, sigma.temps)
-    try:
-        return True, alpha_threshold(rho.temps, sigma.temps)
-    except SupportViolation:
-        return True, None
-
-
-def covariance_equivalence(
-    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float
-) -> bool:
-    """Covariance test on the temperatures; displacement leaves covariance untouched."""
-    return covariance_criterion(rho.temps, sigma.temps, alpha)
 
 
 _WITNESS_SCAN = 1024

@@ -16,14 +16,12 @@ import pytest
 from petz_renyi.cli import main
 from petz_renyi.displaced import (
     DisplacedThermalSpec,
-    covariance_equivalence,
     d_alpha_displaced,
     diagonal_divergence_witness,
-    predict_finiteness,
 )
 from petz_renyi.oracle import displacement_matrix, oracle_trace
 from petz_renyi.states import ModeVector, covariance
-from petz_renyi.thermal import alpha_threshold, d_alpha_thermal
+from petz_renyi.thermal import alpha_threshold, covariance_criterion, d_alpha_thermal
 from petz_renyi.weyl import fejer_scan, laguerre, sine_interval_indices, weyl_diag
 
 from test_weyl import laguerre_rational
@@ -81,9 +79,9 @@ def _check_verdict(r, s, u, alpha):
     where it decides nothing (exactly at a threshold the covariances agree).
     """
     rho, sigma = spec(list(r), list(u)), spec(list(s))
-    finite, _ = predict_finiteness(rho, sigma, alpha)
+    finite = covariance_criterion(rho.temps, sigma.temps, alpha)
     witness = diagonal_divergence_witness(rho.temps, sigma.temps, list(u), alpha)
-    assert finite == covariance_equivalence(rho, sigma, alpha) == (witness is None)
+    assert finite == d_alpha_displaced(rho, sigma, alpha).entropy.finite == (witness is None)
     ts = _exact_exponents(r, s, alpha)
     assert finite == all(t > 0 for t in ts)
     # the theorem's covariance form: V(sigma^{alpha-1}) > V(rho^alpha) per mode
@@ -135,7 +133,7 @@ def test_criterion_1_threshold_theorem(capsys):
             for alpha, finite in ((star, False), (math.nextafter(star, 0.0), True)):
                 assert (_exact_exponents([r], [s], alpha)[0] > 0) == finite
                 for u in (1.0, 0.0):
-                    assert predict_finiteness(spec([r], [u]), spec([s]), alpha)[0] == finite
+                    assert d_alpha_displaced(spec([r], [u]), spec([s]), alpha).entropy.finite == finite
                     assert _check_verdict([r], [s], [u], alpha)
 
 

@@ -1,9 +1,11 @@
 """The public names and records of the package, pinned so a contract change is deliberate."""
 
 import copy
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 
 import pytest
 
@@ -25,7 +27,6 @@ PUBLIC_NAMES = [
     "annihilation_matrix",
     "covariance",
     "covariance_criterion",
-    "covariance_equivalence",
     "d_alpha_displaced",
     "d_alpha_thermal",
     "default_fejer_constant",
@@ -35,7 +36,6 @@ PUBLIC_NAMES = [
     "laguerre",
     "log1mexp",
     "oracle_trace",
-    "predict_finiteness",
     "relative_displacement",
     "sine_interval_indices",
     "support_contained",
@@ -52,7 +52,6 @@ PUBLIC_SIGNATURES = {
     "annihilation_matrix": ("n",),
     "covariance": ("s", "alpha"),
     "covariance_criterion": ("r", "s", "alpha"),
-    "covariance_equivalence": ("rho", "sigma", "alpha"),
     "d_alpha_displaced": ("rho", "sigma", "alpha"),
     "d_alpha_thermal": ("r", "s", "alpha"),
     "default_fejer_constant": ("u",),
@@ -62,7 +61,6 @@ PUBLIC_SIGNATURES = {
     "laguerre": ("j", "x"),
     "log1mexp": ("x",),
     "oracle_trace": ("rho", "sigma", "alpha", "n"),
-    "predict_finiteness": ("rho", "sigma", "alpha"),
     "relative_displacement": ("rho", "sigma"),
     "sine_interval_indices": ("u", "m_max"),
     "support_contained": ("r", "s"),
@@ -107,6 +105,19 @@ def test_all_lists_the_public_names():
     assert {name: namespace[name] for name in PUBLIC_NAMES} == {
         name: getattr(petz_renyi, name) for name in PUBLIC_NAMES
     }
+
+
+def test_every_export_has_one_home():
+    # the command-line front end exports its entry point, not library names
+    homes = [
+        (name, info.name)
+        for info in pkgutil.iter_modules(petz_renyi.__path__)
+        if info.name != "cli"
+        for name in importlib.import_module(f"petz_renyi.{info.name}").__all__
+    ]
+    assert len(dict(homes)) == len(homes), "a name is exported by two submodules"
+    assert sorted(dict(homes)) == petz_renyi.__all__
+    assert petz_renyi._EXPORTS == dict(homes)
 
 
 def test_unknown_names_raise_attribute_error():

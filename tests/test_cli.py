@@ -262,12 +262,10 @@ def test_validate_default_passes(states, capsys):
     assert rec["pass"] is True
     assert float(rec["max_rel_dev_thermal"]) <= 1e-10
     assert float(rec["max_rel_dev_displaced"]) <= 1e-6
-    assert "PASS" in err
-    # clamping happens above order one only
-    assert all("clamped" in case for case in rec["cases"])
-    assert all(case["clamped"] == 0 for case in rec["cases"] if case["alpha"] < 1.0)
-    assert rec["clamped"] == sum(case["clamped"] for case in rec["cases"])
-    assert f"{rec['clamped']} entries clamped" in err
+    assert err.endswith(": PASS\n")
+    # the oracle clamps nothing, so no clamp count is printed
+    assert "clamped" not in rec and not any("clamped" in case for case in rec["cases"])
+    assert "clamped" not in err
 
 
 def test_validate_custom_case(states, tmp_path, capsys):
@@ -418,6 +416,7 @@ def test_parse_errors_exit_two(states, tmp_path, capsys):
         {"temps": [[1]]},
         {"temps": [1.0], "displacement": [[None, 0]]},
         {"temps": [1.0], "displacement": 5},
+        {"temps": [1.0], "displacement": [[1.0]]},
     ]
     for k, doc in enumerate(malformed):
         path = tmp_path / f"malformed{k}.json"
@@ -431,6 +430,38 @@ def test_parse_errors_exit_two(states, tmp_path, capsys):
     assert code == 2
     assert "error:" in err
 
+
+
+def assert_exit_two(code, out, err, message):
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_threshold_mode_count_mismatch_exits_two(states, tmp_path, capsys):
+    two = write_state(tmp_path, "two.json", [1.0, 3.0])
+    code, out, err = run(capsys, ["threshold", two, states["sigma"]])
+    assert_exit_two(code, out, err, "states have different mode counts")
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--alpha-min", "2", "--alpha-max", "1"], "need 0 < alpha-min < alpha-max"),
+        (["--alpha-min", "0.5", "--alpha-max", "1", "--steps", "0"], "steps must be >= 1"),
+    ],
+)
+def test_sweep_bad_grid_exits_two(states, capsys, bounds, message):
+    code, out, err = run(capsys, ["sweep", states["rho"], states["sigma"], *bounds])
+    assert_exit_two(code, out, err, message)
+
+
+def test_validate_unreadable_case_exits_two(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    for case in (tmp_path / "missing.json", garbled):
+        code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", "24"])
+        assert_exit_two(code, out, err, f"cannot parse case file {case}")
 
 # runs the CLI, then reports on stderr whether numpy was loaded
 FRESH_CLI = (

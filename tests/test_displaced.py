@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from petz_renyi.displaced import (
     DisplacedThermalSpec,
-    covariance_equivalence,
     d_alpha_displaced,
     diagonal_divergence_witness,
-    predict_finiteness,
     relative_displacement,
 )
 from petz_renyi.oracle import oracle_trace
 from petz_renyi.states import ModeVector
 from petz_renyi import weyl
-from petz_renyi.thermal import alpha_threshold, d_alpha_thermal
+from petz_renyi.thermal import alpha_threshold, covariance_criterion, d_alpha_thermal
 from petz_renyi.weyl import weyl_diag, weyl_diag_sequence, weyl_element
 
 # frozen arbitrary-precision double sums (60-digit evaluation, truncation 220)
@@ -164,8 +162,8 @@ def test_predicted_divergence_skips_series():
 
 
 def test_alpha_above_one_requires_faithful():
-    with pytest.raises(ValueError):
-        predict_finiteness(spec([1.0], [1.0]), spec([math.inf]), 1.5)
+    with pytest.raises(ValueError, match="faithful"):
+        diagonal_divergence_witness(ModeVector([1.0]), ModeVector([math.inf]), [1.0], 1.5)
 
 
 def test_displaced_vacuum_above_one_is_decided():
@@ -321,8 +319,8 @@ def test_equivalence_triangle(r, s_seed, u_seed, alpha):
     u = [complex(u_seed[2 * j], u_seed[2 * j + 1]) for j in range(n)]
     rho = spec(r, u)
     sigma = spec(s)
-    finite, _ = predict_finiteness(rho, sigma, alpha)
-    by_cov = covariance_equivalence(rho, sigma, alpha)
+    finite = d_alpha_displaced(rho, sigma, alpha).entropy.finite
+    by_cov = covariance_criterion(rho.temps, sigma.temps, alpha)
     no_witness = (
         diagonal_divergence_witness(rho.temps, sigma.temps, u, alpha) is None
     )

@@ -56,6 +56,12 @@ def test_covariance_entries():
     )
 
 
+
+def test_covariance_rejects_non_positive_power():
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="power must be positive"):
+            covariance(ModeVector([1.0]), alpha)
+
 @given(s=st.floats(0.05, 30))
 @settings(max_examples=60, deadline=None)
 def test_covariance_floor(s):
