@@ -21,7 +21,7 @@ _EXPORTS = {
         " alpha_threshold covariance_criterion d_alpha_thermal support_contained validate_order",
         "weyl": "SineIntervalWitness default_fejer_constant fejer_scan laguerre"
         " sine_interval_indices weyl_diag weyl_diag_sequence weyl_element",
-        "displaced": "DisplacedEntropyResult DisplacedThermalSpec SeriesEstimate"
+        "displaced": "DisplacedEntropyResult DisplacedThermalSpec"
         " d_alpha_displaced diagonal_divergence_witness relative_displacement",
         "oracle": "OracleTrace annihilation_matrix displacement_matrix oracle_trace thermal_matrix",
     }.items()

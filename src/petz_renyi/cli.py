@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from .displaced import DisplacedThermalSpec, d_alpha_displaced
-from .states import ModeVector
+from .states import _LOG_MAX, ModeVector, _check_lengths
 from .thermal import _threshold_scan, _violating_modes, alpha_threshold
 
 __all__ = ["main"]
@@ -113,8 +113,7 @@ def _spec_from_doc(doc, path: str) -> DisplacedThermalSpec:
 def cmd_threshold(args) -> int:
     rho = load_state_spec(args.rho)
     sigma = load_state_spec(args.sigma)
-    if rho.n_modes != sigma.n_modes:
-        raise ValueError("states have different mode counts")
+    _check_lengths(rho.temps, sigma.temps)
     thr = _threshold_scan(rho.temps, sigma.temps)
     violating = list(_violating_modes(rho.temps, sigma.temps))
     argmin = list(thr.argmin_modes)
@@ -168,25 +167,18 @@ def cmd_sweep(args) -> int:
             _note("skipping grid point alpha = 1 (order one is excluded)")
             continue
         ent = d_alpha_displaced(rho, sigma, alpha).entropy
-        rows.append((alpha, ent.finite, ent.value, 0.0, 0))
+        rows.append((alpha, ent.finite, ent.value))
+    # the closed form is exact: no tail and no terms
     if args.out == "csv":
         sys.stdout.write("alpha,finite,d_alpha,tail_bound,terms\n")
-        for alpha, finite, val, tail, terms in rows:
+        for alpha, finite, val in rows:
             finite_s = "true" if finite else "false"
-            sys.stdout.write(
-                f"{_fmt(alpha)},{finite_s},{_fmt(val)},{_fmt(tail)},{terms}\n"
-            )
+            sys.stdout.write(f"{_fmt(alpha)},{finite_s},{_fmt(val)},0,0\n")
     else:
         _emit(
             [
-                {
-                    "alpha": alpha,
-                    "finite": finite,
-                    "d_alpha": val,
-                    "tail_bound": tail,
-                    "terms": terms,
-                }
-                for alpha, finite, val, tail, terms in rows
+                {"alpha": alpha, "finite": finite, "d_alpha": val, "tail_bound": 0, "terms": 0}
+                for alpha, finite, val in rows
             ]
         )
     return 0
@@ -233,7 +225,7 @@ def cmd_validate(args) -> int:
         kind = "thermal" if undisplaced else "displaced"
         cases = [(kind, rho, sigma, [_number(a, "order", args.case) for a in alphas])]
     # the trace argument must be a normal double for the comparison to mean anything
-    log_lo, log_hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    log_lo = math.log(sys.float_info.min)
     results = []
     worst = {"thermal": 0.0, "displaced": 0.0}
     for kind, rho, sigma, alphas in cases:
@@ -250,7 +242,7 @@ def cmd_validate(args) -> int:
                     "the oracle checks finite values only"
                 )
             log_q = (alpha - 1.0) * ent.value
-            if not (log_lo <= log_q <= log_hi):
+            if not (log_lo <= log_q <= _LOG_MAX):
                 raise ValueError(
                     f"trace argument exp({_fmt(log_q)}) at alpha = {_fmt(alpha)} "
                     "lies beyond double range: the oracle cannot check it"

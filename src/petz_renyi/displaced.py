@@ -22,12 +22,11 @@ import cmath
 import math
 from typing import Optional, Sequence, Tuple
 
-from .states import ModeVector, Record
+from .states import ModeVector, Record, _check_lengths
 from .thermal import DivergenceWitness, _d_alpha, _gated_exponents
 
 __all__ = [
     "DisplacedThermalSpec",
-    "SeriesEstimate",
     "DisplacedEntropyResult",
     "relative_displacement",
     "d_alpha_displaced",
@@ -49,44 +48,28 @@ class DisplacedThermalSpec(Record):
             disp = tuple(complex(z) for z in displacement)
             if not all(map(cmath.isfinite, disp)):
                 raise ValueError(f"displacement components must be finite, got {disp}")
-        if len(disp) != len(temps):
-            raise ValueError(
-                f"displacement length {len(disp)} != number of modes {len(temps)}"
-            )
+        _check_lengths(disp, temps)
         object.__setattr__(self, "temps", temps)
         object.__setattr__(self, "displacement", disp)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.temps)
 
     @property
     def faithful(self) -> bool:
         return all(not math.isinf(t) for t in self.temps)
 
 
-class SeriesEstimate(Record):
-    """Log of the trace argument, in the shape of a truncated-series outcome.
-
-    The closed form is exact: ``tail_bound`` is 0, ``terms_used`` 0 and
-    ``converged`` true.  ``log_sum = (alpha-1) D`` (``inf`` on divergence).
-    """
-
-    __slots__ = ("log_sum", "tail_bound", "terms_used", "converged")
-
-
 class DisplacedEntropyResult(Record):
+    """The entropy.  ``series`` is always ``None``, since the closed form is exact;
+    it stays because ``perfbench/workloads.py`` still reads it, accepting ``None``."""
+
     __slots__ = ("entropy", "series")
+    _defaults = {"series": None}
 
 
 def relative_displacement(
     rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec
 ) -> Tuple[complex, ...]:
     """Elementwise difference of the two displacement vectors."""
-    if rho.n_modes != sigma.n_modes:
-        raise ValueError(
-            f"mode counts differ: {rho.n_modes} vs {sigma.n_modes}"
-        )
+    _check_lengths(rho.temps, sigma.temps)
     return tuple(a - b for a, b in zip(rho.displacement, sigma.displacement))
 
 
@@ -116,8 +99,7 @@ def diagonal_divergence_witness(
     from .weyl import _diag_window, _fejer_hits, _squared_modulus
 
     ts, bad = _gated_exponents(r, s, alpha)
-    if len(u) != len(r):
-        raise ValueError(f"mode counts differ: {len(u)} displacements, {len(r)} modes")
+    _check_lengths(u, r)
     if not bad:
         return None
     j = min(bad, key=lambda j: ts[j - 1])  # the most negative exponent, first on ties
@@ -167,10 +149,9 @@ def d_alpha_displaced(
     ``alpha > 1`` the value is ``inf`` with a support witness when a vacuum
     mode of sigma is not the same coherent state in rho, and with a threshold
     witness when some mode has ``alpha r_j + (1-alpha) s_j <= 0`` (exactly
-    ``alpha >= alpha*``).  Raises ``ValueError`` when the value is finite but
-    its log trace argument or ``D`` lies beyond double range.
+    ``alpha >= alpha*``); ``series`` is ``None``.  Raises ``ValueError`` when
+    the value is finite but its log trace argument or ``D`` lies beyond double
+    range, or an exponent is positive but below the normal range.
     """
-    u = relative_displacement(rho, sigma)
-    ent = _d_alpha(rho.temps, sigma.temps, [abs(z) * abs(z) for z in u], alpha)
-    log_q = (alpha - 1.0) * ent.value
-    return DisplacedEntropyResult(ent, SeriesEstimate(log_q, 0.0, 0, True))
+    x = [abs(z) * abs(z) for z in relative_displacement(rho, sigma)]
+    return DisplacedEntropyResult(_d_alpha(rho.temps, sigma.temps, x, alpha))

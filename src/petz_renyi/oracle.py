@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .displaced import DisplacedThermalSpec
-from .states import Record, _as_index, log1mexp
-from .thermal import _LOG_MAX, support_contained, validate_order
+from .states import _LOG_MAX, Record, _as_index, _check_lengths, log1mexp
+from .thermal import support_contained, validate_order
 
 __all__ = [
     "annihilation_matrix",
@@ -181,8 +181,7 @@ def oracle_trace(
     """
     n = _check_dim(n)
     alpha = validate_order(alpha)
-    if rho.n_modes != sigma.n_modes:
-        raise ValueError("mode counts differ")
+    _check_lengths(rho.temps, sigma.temps)
     if n > MAX_DIM:
         raise ValueError(f"truncation {n} exceeds guard {MAX_DIM}")
     pairs = list(zip(rho.displacement, sigma.displacement))

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Sized, Tuple
 
 __all__ = [
     "ModeVector",
     "log1mexp",
     "covariance",
 ]
+
+# log of the largest double: a trace argument beyond it is finite but unrepresentable
+_LOG_MAX = math.log(1.7976931348623157e308)
 
 
 def log1mexp(x: float) -> float:
@@ -33,6 +36,12 @@ def log1mexp(x: float) -> float:
     if x < math.log(2.0):
         return math.log(-math.expm1(-x))
     return math.log1p(-math.exp(-x))
+
+
+def _check_lengths(a: Sized, b: Sized) -> None:
+    """The one rule that pairs two per-mode sequences: equal mode counts."""
+    if len(a) != len(b):
+        raise ValueError(f"mode counts differ: {len(a)} vs {len(b)}")
 
 
 def _as_index(value, what: str) -> int:
@@ -126,10 +135,12 @@ def covariance(s: "ModeVector | Sequence[float]", alpha: float = 1.0) -> Tuple[f
 
     Entry ``j`` is ``coth(alpha * s_j / 2) / 2`` (each repeated on a 2x2
     identity block in the full covariance matrix), with the vacuum limit 1/2
-    for ``s_j = inf``.
+    for ``s_j = inf`` and ``inf`` where the entry exceeds double range.
     """
     if not (alpha > 0.0):
         raise ValueError(f"power must be positive, got {alpha}")
+    # a tanh that underflows to 0 stands in as the least subnormal: 0.5 / it overflows to inf
     return tuple(
-        0.5 if math.isinf(sj) else 0.5 / math.tanh(alpha * sj / 2.0) for sj in ModeVector(s)
+        0.5 if math.isinf(sj) else 0.5 / (math.tanh(alpha * sj / 2.0) or 5e-324)
+        for sj in ModeVector(s)
     )

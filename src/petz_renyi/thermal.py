@@ -13,9 +13,10 @@ the rounded ``alpha*`` is reported but decides nothing.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence, Tuple
 
-from .states import ModeVector, Record, log1mexp
+from .states import _LOG_MAX, ModeVector, Record, _check_lengths, log1mexp
 
 __all__ = [
     "SupportViolation",
@@ -92,11 +93,6 @@ def validate_order(alpha: float) -> float:
     return alpha
 
 
-def _check_lengths(r: ModeVector, s: ModeVector) -> None:
-    if len(r) != len(s):
-        raise ValueError(f"mode counts differ: {len(r)} vs {len(s)}")
-
-
 def support_contained(r: ModeVector, s: ModeVector) -> bool:
     """True iff every vacuum mode of the second state is vacuum in the first."""
     _check_lengths(r, s)
@@ -141,6 +137,7 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
 _EXACT_BAND = 2.0**-20
 # where |a + b| <= _CANCEL_BAND (|a| + |b|), a + b is exact but the errors of a and b dominate
 _CANCEL_BAND = 2.0**-4
+_NORMAL_MIN = sys.float_info.min
 _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 
 
@@ -159,9 +156,13 @@ def _exponents(
 
     The one finiteness decision: with support contained, ``D_alpha`` is finite
     iff no mode has ``t_j <= 0``, i.e. ``alpha < s_j/(s_j - r_j)`` wherever
-    ``r_j < s_j``.  Each ``t_j`` is its exact value rounded once, so its sign
-    is the exact verdict.  A mode with a vacuum side gets ``inf``: its series
-    has the single term ``k = 0``.
+    ``r_j < s_j``.  Each ``t_j`` has the exact sign, so the sign is the
+    verdict; its value is near the exact one but not always its rounding: in
+    the cancellation band ``a + b`` and the products' low parts are rounded
+    apart (about an ulp more), and from ``alpha = 2^53`` on ``1 - alpha``
+    rounds too.  A mode with a vacuum side gets ``inf``: its series has the
+    single term ``k = 0``.  Raises ``ValueError`` where an exact ``t_j`` is
+    positive but below the normal double range.
     """
     ts = []
     for rj, sj in zip(r, s):
@@ -171,29 +172,36 @@ def _exponents(
         a = alpha * rj
         b = (1.0 - alpha) * sj
         t = a + b
+        # below the normal range a product rounds with absolute error, so t may
+        # have any error there, even the wrong sign
+        form_exactly = abs(t) < _NORMAL_MIN
         if not abs(t) > _CANCEL_BAND * (abs(a) + abs(b)):  # a nan t too
-            # a + b is exact (Sterbenz); adding both products' exact low parts leaves
-            # one rounding in t (nan if a split overflows: the exact branch takes it)
+            # a + b is exact (Sterbenz); add both products' exact low parts (nan
+            # if a split overflows: the exact branch takes it)
             t += _product_error(alpha, rj, a) + _product_error(1.0 - alpha, sj, b)
-            if not math.isfinite(t) or abs(t) <= _EXACT_BAND * (abs(a) + abs(b)):
-                # doubles are dyadic rationals, so t is formed exactly, also where
-                # a product overflowed.  Imported here: inputs off the boundary never
-                # need it, and a module-level import would add milliseconds to every
-                # CLI process
-                from fractions import Fraction
+            normal = _NORMAL_MIN <= abs(t) < math.inf
+            form_exactly = not normal or abs(t) <= _EXACT_BAND * (abs(a) + abs(b))
+        if form_exactly:
+            # doubles are dyadic rationals, so t is formed exactly, also where
+            # a product overflowed.  Imported here: inputs off the boundary never
+            # need it, and a module-level import would add milliseconds to every
+            # CLI process
+            from fractions import Fraction
 
-                fa = Fraction(alpha)
-                exact = fa * Fraction(rj) + (1 - fa) * Fraction(sj)
-                try:
-                    t = float(exact)
-                except OverflowError:
-                    t = math.inf if exact > 0 else -math.inf
+            fa = Fraction(alpha)
+            exact = fa * Fraction(rj) + (1 - fa) * Fraction(sj)
+            if 0 < exact < _NORMAL_MIN:
+                j = len(ts) + 1
+                raise ValueError(
+                    f"alpha*r_{j} + (1-alpha)*s_{j} at alpha = {alpha} is positive "
+                    "but below the normal double range"
+                )
+            try:
+                t = float(exact)
+            except OverflowError:
+                t = math.inf if exact > 0 else -math.inf
         ts.append(t)
     return tuple(ts), tuple(j + 1 for j, t in enumerate(ts) if t <= 0.0)
-
-
-# log of the largest double: a trace argument beyond it is finite but unrepresentable
-_LOG_MAX = math.log(1.7976931348623157e308)
 
 
 def _log_expm1(x: float) -> float:
@@ -230,13 +238,10 @@ def _mode_log_trace(r: float, s: float, x: float, alpha: float, t: float) -> flo
     return math.inf if log_d > _LOG_MAX else log_q + math.exp(log_d)
 
 
-def _divergence_witness(
-    r: ModeVector, s: ModeVector, x: Sequence[float], alpha: float, exponents: tuple
+def _support_witness(
+    r: ModeVector, s: ModeVector, x: Sequence[float]
 ) -> Optional[DivergenceWitness]:
-    """Why ``D_alpha`` diverges for ``alpha > 1``, or ``None`` when it is finite.
-
-    ``exponents`` is ``_exponents(r, s, alpha)``.
-    """
+    """Why ``D_alpha`` diverges at every order above one, or ``None``."""
     bad = _violating_modes(r, s)
     if bad:
         return DivergenceWitness(
@@ -255,16 +260,7 @@ def _divergence_witness(
             mode=moved[0],
             detail=f"modes {moved} are distinct coherent states in rho and sigma",
         )
-    ts, diverging = exponents
-    if not diverging:
-        return None
-    # the diverging mode with the smallest ratio s_j/(s_j-r_j), first on ties
-    j = min(diverging, key=lambda j: s[j - 1] / (s[j - 1] - r[j - 1]))
-    return DivergenceWitness(
-        kind="threshold",
-        mode=j,
-        detail=f"alpha*r_{j} + (1-alpha)*s_{j} = {ts[j - 1]} <= 0 at alpha = {alpha}",
-    )
+    return None
 
 
 def _d_alpha(
@@ -277,14 +273,20 @@ def _d_alpha(
     """
     alpha = validate_order(alpha)
     _check_lengths(r, s)
-    exponents = _exponents(r, s, alpha)
-    if alpha > 1.0:
-        w = _divergence_witness(r, s, x, alpha, exponents)
-        if w is not None:
-            return ExtendedEntropy(math.inf, w)
+    # support decides before any exponent is formed, so a refused exponent cannot hide it
+    w = _support_witness(r, s, x) if alpha > 1.0 else None
+    if w is not None:
+        return ExtendedEntropy(math.inf, w)
+    ts, diverging = _exponents(r, s, alpha)
+    if diverging:  # above order one only: below it every exponent is positive
+        # the diverging mode with the smallest ratio s_j/(s_j-r_j), first on ties
+        j = min(diverging, key=lambda j: s[j - 1] / (s[j - 1] - r[j - 1]))
+        detail = f"alpha*r_{j} + (1-alpha)*s_{j} = {ts[j - 1]} <= 0 at alpha = {alpha}"
+        w = DivergenceWitness(kind="threshold", mode=j, detail=detail)
+        return ExtendedEntropy(math.inf, w)
     log_q = sum(
         _mode_log_trace(rj, sj, xj, alpha, tj)
-        for rj, sj, xj, tj in zip(r, s, x, exponents[0])
+        for rj, sj, xj, tj in zip(r, s, x, ts)
     )
     value = log_q / (alpha - 1.0)
     if not math.isfinite(value):
@@ -311,7 +313,8 @@ def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntro
     geometric series vanishes there).  For ``alpha`` in (0,1) the value is
     always finite; when support containment fails the sum simply loses the
     vanishing terms, which restricts the cross term to modes finite in both.
-    Raises ``ValueError`` when a finite value lies beyond double range.
+    Raises ``ValueError`` when a finite value lies beyond double range, and
+    where an exponent is positive but below the normal range (``_exponents``).
     """
     return _d_alpha(r, s, (0.0,) * len(r), alpha)
 

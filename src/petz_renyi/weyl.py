@@ -25,7 +25,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .states import Record, _as_index
+from .states import _LOG_MAX, Record, _as_index
 
 __all__ = [
     "laguerre",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _RESCALE = 1e250
-_LOG_MAX = math.log(1.7976931348623157e308)
 
 
 def laguerre(j: int, x: float) -> float:

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "ExtendedEntropy",
     "ModeVector",
     "OracleTrace",
-    "SeriesEstimate",
     "SineIntervalWitness",
     "SupportViolation",
     "ThresholdResult",
@@ -166,11 +165,7 @@ RECORDS = [
         {"temps": [1.0, math.inf], "displacement": [1 + 2j, 0]},
         "DisplacedThermalSpec(temps=ModeVector(temps=(1.0, inf)), displacement=((1+2j), 0j))",
     ),
-    (
-        "SeriesEstimate",
-        {"log_sum": -0.5, "tail_bound": 0.0, "terms_used": 0, "converged": True},
-        "SeriesEstimate(log_sum=-0.5, tail_bound=0.0, terms_used=0, converged=True)",
-    ),
+    ("DisplacedEntropyResult", {"entropy": 0.25}, "DisplacedEntropyResult(entropy=0.25, series=None)"),
     (
         "DisplacedEntropyResult",
         {"entropy": 0.25, "series": None},

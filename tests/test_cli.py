@@ -438,10 +438,22 @@ def assert_exit_two(code, out, err, message):
     assert "Traceback" not in err
 
 
+def test_subnormal_exponent_exits_two(tmp_path, capsys):
+    # alpha* = 7 exactly; just below it the exponent is a positive subnormal
+    rho = write_state(tmp_path, "rho.json", [3e-323])
+    sigma = write_state(tmp_path, "sigma.json", [3.5e-323])
+    code, out, err = run(capsys, ["threshold", rho, sigma])
+    assert code == 0 and json.loads(out)["alpha_star"] == 7
+    code, out, err = run(capsys, ["entropy", rho, sigma, "--alpha", "6.9"])
+    assert_exit_two(code, out, err, "positive but below the normal double range")
+    code, out, err = run(capsys, ["entropy", rho, sigma, "--alpha", "7"])
+    assert code == 0 and json.loads(out)["value"] == "inf"
+
+
 def test_threshold_mode_count_mismatch_exits_two(states, tmp_path, capsys):
     two = write_state(tmp_path, "two.json", [1.0, 3.0])
     code, out, err = run(capsys, ["threshold", two, states["sigma"]])
-    assert_exit_two(code, out, err, "states have different mode counts")
+    assert_exit_two(code, out, err, "mode counts differ: 2 vs 1")
 
 
 @pytest.mark.parametrize(

@@ -160,7 +160,7 @@ def test_oracle_matches_displaced_series():
     sigma = spec([2.0], [0.0])
     for alpha in (0.3, 0.7, 1.5):
         res = d_alpha_displaced(rho, sigma, alpha)
-        expect = math.exp(res.series.log_sum)
+        expect = math.exp((alpha - 1.0) * res.entropy.value)
         tr = oracle_trace(rho, sigma, alpha, 96)
         assert tr.value == pytest.approx(expect, rel=1e-6)
 
@@ -170,7 +170,7 @@ def test_oracle_both_displaced_above_one():
     sigma = spec([2.0], [-0.2j])
     res = d_alpha_displaced(rho, sigma, 1.5)
     tr = oracle_trace(rho, sigma, 1.5, 96)
-    assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-8)
+    assert tr.value == pytest.approx(math.exp((1.5 - 1.0) * res.entropy.value), rel=1e-8)
 
 
 def test_oracle_two_mode_displaced():
@@ -179,7 +179,7 @@ def test_oracle_two_mode_displaced():
     for alpha in (0.5, 1.3):
         res = d_alpha_displaced(rho, sigma, alpha)
         tr = oracle_trace(rho, sigma, alpha, 48)
-        assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-8)
+        assert tr.value == pytest.approx(math.exp((alpha - 1.0) * res.entropy.value), rel=1e-8)
 
 
 def test_oracle_converges_on_the_benchmark_cases():
@@ -190,7 +190,7 @@ def test_oracle_converges_on_the_benchmark_cases():
     cases += [(spec([1.0], [1.0]), spec([2.0]), a, 96) for a in (0.3, 0.7, 1.5)]
     cases += [(*two, 1.5, 48), (*two, 0.5, 24), (*two, 0.5, 32)]
     for rho, sigma, alpha, n in cases:
-        expect = math.exp(d_alpha_displaced(rho, sigma, alpha).series.log_sum)
+        expect = math.exp((alpha - 1.0) * d_alpha_displaced(rho, sigma, alpha).entropy.value)
         assert oracle_trace(rho, sigma, alpha, 2 * n).value == pytest.approx(expect, rel=1e-13)
 
 
@@ -254,8 +254,8 @@ def test_truncation_must_be_an_integer():
 
 def test_oracle_imports_no_closed_form():
     # the brute force takes from the closed-form modules only the order
-    # check, the support test, the double-range constant and the state
-    # record, so no formula for the trace can reach it
+    # check, the support test and the state record, so no formula for the
+    # trace can reach it
     tree = ast.parse(open(oracle.__file__).read())
     taken = {}
     for node in ast.walk(tree):
@@ -268,12 +268,7 @@ def test_oracle_imports_no_closed_form():
                 taken.setdefault(node.module, set()).update(a.name for a in node.names)
     assert set(taken) <= {"states", "thermal", "displaced"}
     closed_form = taken.get("thermal", set()) | taken.get("displaced", set())
-    assert closed_form == {
-        "_LOG_MAX",
-        "support_contained",
-        "validate_order",
-        "DisplacedThermalSpec",
-    }
+    assert closed_form == {"support_contained", "validate_order", "DisplacedThermalSpec"}
 
 
 def test_only_the_oracle_imports_numpy():
@@ -296,6 +291,28 @@ def test_only_the_oracle_imports_numpy():
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
                 importers.add(name)
     assert importers == {"oracle.py"}
+
+
+def test_each_shared_rule_has_one_home():
+    # the double-range constant and the equal-mode-count error are written
+    # once, in states.py, and imported everywhere else
+    package = os.path.dirname(oracle.__file__)
+    homes = {"_LOG_MAX": set(), "mode counts": set()}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "_LOG_MAX" for t in targets):
+                    homes["_LOG_MAX"].add(name)
+            elif isinstance(node, ast.Raise):
+                texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
+                if any(isinstance(v, str) and "mode count" in v for v in texts):
+                    homes["mode counts"].add(name)
+    assert homes == {"_LOG_MAX": {"states.py"}, "mode counts": {"states.py"}}
 
 
 def _dense_spectrum(mat):
@@ -412,7 +429,7 @@ def test_oracle_where_the_register_is_needed():
     assert not np.isposinf(_log_entries(u, 768)).any()
     rho, sigma = spec([1.0], [10.0]), spec([2.0])
     for alpha in (0.3, 0.7):
-        expect = math.exp(d_alpha_displaced(rho, sigma, alpha).series.log_sum)
+        expect = math.exp((alpha - 1.0) * d_alpha_displaced(rho, sigma, alpha).entropy.value)
         assert oracle_trace(rho, sigma, alpha, 768).value == pytest.approx(expect, rel=1e-12)
 
 
@@ -497,7 +514,7 @@ def test_oracle_displaced_against_vacuum_below_one():
     sigma = spec([math.inf])
     res = d_alpha_displaced(rho, sigma, 0.5)
     tr = oracle_trace(rho, sigma, 0.5, 48)
-    assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-6)
+    assert tr.value == pytest.approx(math.exp((0.5 - 1.0) * res.entropy.value), rel=1e-6)
     assert tr.clamped == 0
 
 
@@ -508,4 +525,4 @@ def test_oracle_weights_where_sigma_eigenvalues_underflow():
     sigma = spec([15.0])
     res = d_alpha_displaced(rho, sigma, 1.1)
     tr = oracle_trace(rho, sigma, 1.1, 64)
-    assert tr.value == pytest.approx(math.exp(res.series.log_sum), rel=1e-10)
+    assert tr.value == pytest.approx(math.exp((1.1 - 1.0) * res.entropy.value), rel=1e-10)

@@ -54,6 +54,8 @@ def test_covariance_entries():
     assert covariance(ModeVector([0.7]), 1.6)[0] == pytest.approx(
         0.984295694294160479, rel=1e-15
     )
+    # coth(s/2)/2 beyond double range, also where tanh(s/2) underflows to 0
+    assert covariance([1e-309]) == covariance([5e-324]) == (math.inf,)
 
 
 

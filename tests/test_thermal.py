@@ -208,6 +208,43 @@ def test_overflowing_exponent_products():
     assert covariance_criterion(big, tiny, 1e10)
 
 
+def test_subnormal_exponents_decide_exactly_or_refuse():
+    # below the normal range alpha r and (1-alpha) s round with absolute error;
+    # an exact t = 0 still diverges, and a positive subnormal t is refused
+    r, s = ModeVector([3e-323]), ModeVector([3.5e-323])
+    assert alpha_threshold(r, s).alpha_star == 7.0
+    assert d_alpha_thermal(r, s, 7.0).witness.kind == "threshold"
+    assert not covariance_criterion(r, s, 7.0)
+    for call in (d_alpha_thermal, covariance_criterion):
+        with pytest.raises(ValueError, match="positive but below the normal") as info:
+            call(r, s, 6.9)
+        assert "0.0" not in str(info.value)
+    with pytest.raises(ValueError, match="positive but below the normal"):
+        d_alpha_thermal(ModeVector([5e-324]), ModeVector([1e-323]), 0.5)
+    # a support violation decides before the refused exponent is formed
+    got = d_alpha_thermal(ModeVector([1.0, 3e-323]), ModeVector([math.inf, 3.5e-323]), 6.9)
+    assert got.witness.kind == "support"
+    rng = random.Random(1)
+    refused = 0
+    for _ in range(400):
+        r, s = sorted(2.0 ** rng.uniform(-1074, -960) for _ in range(2))
+        if r == s:  # alpha* = inf
+            continue
+        star = alpha_threshold(ModeVector([r]), ModeVector([s])).alpha_star
+        for alpha in (star * (1 - 1e-3), math.nextafter(star, 0), star, star * (1 + 1e-3)):
+            if not alpha > 1.0:
+                continue
+            exact = Fraction(alpha) * Fraction(r) + (1 - Fraction(alpha)) * Fraction(s)
+            try:
+                got = d_alpha_thermal(ModeVector([r]), ModeVector([s]), alpha)
+            except ValueError:
+                assert 0 < exact < 2.0**-1022
+                refused += 1
+                continue
+            assert got.finite == (exact > 0)
+    assert refused > 0
+
+
 def exact_finite(r, s, alpha):
     """``alpha (s_j - r_j) < s_j`` for every mode, in exact rational arithmetic."""
     fa = Fraction(alpha)
