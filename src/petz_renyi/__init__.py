@@ -16,13 +16,12 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "states": "ModeVector covariance log1mexp",
-        "thermal": "DivergenceWitness ExtendedEntropy SupportViolation ThresholdResult"
-        " alpha_threshold covariance_criterion d_alpha_thermal support_contained validate_order",
-        "weyl": "SineIntervalWitness default_fejer_constant fejer_scan laguerre"
-        " sine_interval_indices weyl_diag weyl_diag_sequence weyl_element",
-        "displaced": "DisplacedEntropyResult DisplacedThermalSpec"
-        " d_alpha_displaced diagonal_divergence_witness relative_displacement",
+        "states": "DisplacedThermalSpec ModeVector covariance log1mexp relative_displacement",
+        "thermal": "DisplacedEntropyResult DivergenceWitness ExtendedEntropy SupportViolation"
+        " ThresholdResult alpha_threshold covariance_criterion d_alpha_displaced"
+        " d_alpha_thermal support_contained validate_order",
+        "weyl": "SineIntervalWitness default_fejer_constant diagonal_divergence_witness"
+        " fejer_scan laguerre sine_interval_indices weyl_diag weyl_diag_sequence weyl_element",
         "oracle": "OracleTrace annihilation_matrix displacement_matrix oracle_trace thermal_matrix",
     }.items()
     for name in names.split()

@@ -16,9 +16,8 @@ import math
 import sys
 from typing import List, Optional
 
-from .displaced import DisplacedThermalSpec, d_alpha_displaced
-from .states import _LOG_MAX, ModeVector, _check_lengths
-from .thermal import _threshold_scan, _violating_modes, alpha_threshold
+from .states import _LOG_MAX, DisplacedThermalSpec, ModeVector, _check_lengths
+from .thermal import _threshold_scan, _violating_modes, alpha_threshold, d_alpha_displaced
 
 __all__ = ["main"]
 
@@ -77,10 +76,12 @@ def load_state_spec(path: str) -> DisplacedThermalSpec:
 
 
 def _number(v, what: str, path: str) -> float:
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number in {path}, got {v!r}")
+    if not isinstance(v, bool):  # JSON true and false load as ints
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a number in {path}, got {v!r}")
 
 
 def _spec_from_doc(doc, path: str) -> DisplacedThermalSpec:

@@ -26,8 +26,7 @@ import math
 
 import numpy as np
 
-from .displaced import DisplacedThermalSpec
-from .states import _LOG_MAX, Record, _as_index, _check_lengths, log1mexp
+from .states import _LOG_MAX, DisplacedThermalSpec, Record, _as_index, _check_lengths, log1mexp
 from .thermal import support_contained, validate_order
 
 __all__ = [

@@ -9,12 +9,15 @@ modes.  Mode indices in public return values are 1-based.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
-from typing import Iterable, Iterator, Sequence, Sized, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Sized, Tuple
 
 __all__ = [
     "ModeVector",
+    "DisplacedThermalSpec",
+    "relative_displacement",
     "log1mexp",
     "covariance",
 ]
@@ -128,6 +131,37 @@ class ModeVector(Record):
 
     def __getitem__(self, j: int) -> float:
         return self.temps[j]
+
+
+class DisplacedThermalSpec(Record):
+    """A thermal state conjugated by a displacement operator."""
+
+    __slots__ = ("temps", "displacement")
+
+    def __init__(self, temps, displacement: Optional[Sequence[complex]] = None):
+        if not isinstance(temps, ModeVector):
+            temps = ModeVector(temps)
+        if displacement is None:
+            disp = (0j,) * len(temps)
+        else:
+            disp = tuple(complex(z) for z in displacement)
+            if not all(map(cmath.isfinite, disp)):
+                raise ValueError(f"displacement components must be finite, got {disp}")
+        _check_lengths(disp, temps)
+        object.__setattr__(self, "temps", temps)
+        object.__setattr__(self, "displacement", disp)
+
+    @property
+    def faithful(self) -> bool:
+        return all(not math.isinf(t) for t in self.temps)
+
+
+def relative_displacement(
+    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec
+) -> Tuple[complex, ...]:
+    """Elementwise difference of the two displacement vectors."""
+    _check_lengths(rho.temps, sigma.temps)
+    return tuple(a - b for a, b in zip(rho.displacement, sigma.displacement))
 
 
 def covariance(s: "ModeVector | Sequence[float]", alpha: float = 1.0) -> Tuple[float, ...]:

@@ -1,13 +1,16 @@
 """Closed-form Petz-Renyi relative entropy of (displaced) thermal states.
 
 Per mode the trace argument ``tr(rho^alpha sigma^{1-alpha})`` is an
-elementary Gaussian closed form that depends on the displacements only
-through ``|u_j|^2``, the squared relative displacement; undisplaced thermal
-states are the case ``u = 0``.  Finiteness for ``alpha > 1`` is decided
-analytically from support containment and the exact sign of each mode's
-exponent ``t_j = alpha r_j + (1-alpha) s_j`` (``_exponents``), which is the
-theorem's ``alpha < alpha* = min s_j / (s_j - r_j)`` over ``r_j < s_j``;
-the rounded ``alpha*`` is reported but decides nothing.
+elementary Gaussian closed form, the diagonal-covariance case of the
+Petz-Renyi formula of Seshadreesan, Lami & Wilde, "Renyi relative entropies
+of quantum Gaussian states", J. Math. Phys. 59, 072204 (2018),
+arXiv:1706.09885.  It depends on the displacements only through ``|u_j|^2``,
+the squared relative displacement; undisplaced thermal states are the case
+``u = 0``.  Finiteness for ``alpha > 1`` is decided analytically from
+support containment and the exact sign of each mode's exponent
+``t_j = alpha r_j + (1-alpha) s_j`` (``_exponents``), which is the theorem's
+``alpha < alpha* = min s_j / (s_j - r_j)`` over ``r_j < s_j``; the rounded
+``alpha*`` is reported but decides nothing.
 """
 
 from __future__ import annotations
@@ -16,17 +19,22 @@ import math
 import sys
 from typing import Optional, Sequence, Tuple
 
-from .states import _LOG_MAX, ModeVector, Record, _check_lengths, log1mexp
+from .states import (
+    _LOG_MAX, DisplacedThermalSpec, ModeVector, Record, _check_lengths, log1mexp,
+    relative_displacement,
+)
 
 __all__ = [
     "SupportViolation",
     "DivergenceWitness",
     "ExtendedEntropy",
+    "DisplacedEntropyResult",
     "ThresholdResult",
     "validate_order",
     "support_contained",
     "alpha_threshold",
     "d_alpha_thermal",
+    "d_alpha_displaced",
     "covariance_criterion",
 ]
 
@@ -73,6 +81,14 @@ class ExtendedEntropy(Record):
     @property
     def finite(self) -> bool:
         return not math.isinf(self.value)
+
+
+class DisplacedEntropyResult(Record):
+    """The entropy.  ``series`` is always ``None``, since the closed form is exact;
+    it stays because ``perfbench/workloads.py`` still reads it, accepting ``None``."""
+
+    __slots__ = ("entropy", "series")
+    _defaults = {"series": None}
 
 
 class ThresholdResult(Record):
@@ -317,6 +333,23 @@ def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntro
     where an exponent is positive but below the normal range (``_exponents``).
     """
     return _d_alpha(r, s, (0.0,) * len(r), alpha)
+
+
+def d_alpha_displaced(
+    rho: DisplacedThermalSpec, sigma: DisplacedThermalSpec, alpha: float
+) -> DisplacedEntropyResult:
+    """Petz-Renyi relative entropy between two displaced thermal states.
+
+    Each mode contributes its exact closed-form log trace argument.  For
+    ``alpha > 1`` the value is ``inf`` with a support witness when a vacuum
+    mode of sigma is not the same coherent state in rho, and with a threshold
+    witness when some mode has ``alpha r_j + (1-alpha) s_j <= 0`` (exactly
+    ``alpha >= alpha*``); ``series`` is ``None``.  Raises ``ValueError`` when
+    the value is finite but its log trace argument or ``D`` lies beyond double
+    range, or an exponent is positive but below the normal range.
+    """
+    x = [abs(z) * abs(z) for z in relative_displacement(rho, sigma)]
+    return DisplacedEntropyResult(_d_alpha(rho.temps, sigma.temps, x, alpha))
 
 
 def _gated_exponents(r: ModeVector, s: ModeVector, alpha: float) -> tuple:

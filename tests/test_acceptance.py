@@ -14,15 +14,21 @@ import numpy as np
 import pytest
 
 from petz_renyi.cli import main
-from petz_renyi.displaced import (
-    DisplacedThermalSpec,
-    d_alpha_displaced,
-    diagonal_divergence_witness,
-)
 from petz_renyi.oracle import displacement_matrix, oracle_trace
-from petz_renyi.states import ModeVector, covariance
-from petz_renyi.thermal import alpha_threshold, covariance_criterion, d_alpha_thermal
-from petz_renyi.weyl import fejer_scan, laguerre, sine_interval_indices, weyl_diag
+from petz_renyi.states import DisplacedThermalSpec, ModeVector, covariance
+from petz_renyi.thermal import (
+    alpha_threshold,
+    covariance_criterion,
+    d_alpha_displaced,
+    d_alpha_thermal,
+)
+from petz_renyi.weyl import (
+    diagonal_divergence_witness,
+    fejer_scan,
+    laguerre,
+    sine_interval_indices,
+    weyl_diag,
+)
 
 from test_weyl import laguerre_rational
 

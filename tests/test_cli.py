@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 from petz_renyi.cli import main
-from petz_renyi.displaced import DisplacedThermalSpec, d_alpha_displaced
-from petz_renyi.states import ModeVector
-from petz_renyi.thermal import d_alpha_thermal
+from petz_renyi.states import DisplacedThermalSpec, ModeVector
+from petz_renyi.thermal import d_alpha_displaced, d_alpha_thermal
 
 
 def write_state(tmp_path, name, temps, displacement=None):
@@ -417,6 +416,8 @@ def test_parse_errors_exit_two(states, tmp_path, capsys):
         {"temps": [1.0], "displacement": [[None, 0]]},
         {"temps": [1.0], "displacement": 5},
         {"temps": [1.0], "displacement": [[1.0]]},
+        {"temps": [True]},
+        {"temps": [1.0], "displacement": [[True, False]]},
     ]
     for k, doc in enumerate(malformed):
         path = tmp_path / f"malformed{k}.json"

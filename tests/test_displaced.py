@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petz_renyi.displaced import (
-    DisplacedThermalSpec,
-    d_alpha_displaced,
-    diagonal_divergence_witness,
-    relative_displacement,
-)
 from petz_renyi.oracle import oracle_trace
-from petz_renyi.states import ModeVector
+from petz_renyi.states import DisplacedThermalSpec, ModeVector, relative_displacement
 from petz_renyi import weyl
-from petz_renyi.thermal import alpha_threshold, covariance_criterion, d_alpha_thermal
-from petz_renyi.weyl import weyl_diag, weyl_diag_sequence, weyl_element
+from petz_renyi.thermal import (
+    alpha_threshold,
+    covariance_criterion,
+    d_alpha_displaced,
+    d_alpha_thermal,
+)
+from petz_renyi.weyl import (
+    diagonal_divergence_witness,
+    weyl_diag,
+    weyl_diag_sequence,
+    weyl_element,
+)
 
 # frozen arbitrary-precision double sums (60-digit evaluation, truncation 220)
 # for r=(1,), s=(2,), u1=(1,), u2=(0,): trace argument sum
@@ -260,7 +264,7 @@ def test_diagonal_witness_refuses_beyond_its_reach():
 def test_diagonal_witness_leaves_numpy_unloaded(fresh_python):
     program = (
         "import sys\n"
-        "from petz_renyi.displaced import diagonal_divergence_witness\n"
+        "from petz_renyi.weyl import diagonal_divergence_witness\n"
         "from petz_renyi.states import ModeVector\n"
         "w = diagonal_divergence_witness(ModeVector([1.0]), ModeVector([2.0]), [1.0], 3.0)\n"
         "assert w.sample_indices\n"

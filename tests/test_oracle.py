@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from petz_renyi import oracle
-from petz_renyi.displaced import DisplacedThermalSpec, d_alpha_displaced
 from petz_renyi.oracle import (
     MAX_DIM,
     _log_entries,
@@ -20,8 +19,8 @@ from petz_renyi.oracle import (
     oracle_trace,
     thermal_matrix,
 )
-from petz_renyi.states import ModeVector, covariance
-from petz_renyi.thermal import d_alpha_thermal
+from petz_renyi.states import DisplacedThermalSpec, ModeVector, covariance
+from petz_renyi.thermal import d_alpha_displaced, d_alpha_thermal
 from petz_renyi.weyl import weyl_diag, weyl_element
 
 
@@ -224,6 +223,7 @@ def test_oracle_validation():
         oracle_trace(rho, spec([2.0, 3.0]), 0.5, 32)
     with pytest.raises(ValueError):
         oracle_trace(rho, sigma, 0.5, 1)
+    assert oracle_trace(rho, sigma, 0.5, MAX_DIM).dim == MAX_DIM  # the guard admits MAX_DIM
     with pytest.raises(ValueError):
         oracle_trace(rho, sigma, 0.5, MAX_DIM + 1)  # guard
     with pytest.raises(ValueError, match="exceeds 1e50"):
@@ -253,9 +253,8 @@ def test_truncation_must_be_an_integer():
 
 
 def test_oracle_imports_no_closed_form():
-    # the brute force takes from the closed-form modules only the order
-    # check, the support test and the state record, so no formula for the
-    # trace can reach it
+    # the brute force takes from the closed-form module only the order check
+    # and the support test, so no formula for the trace can reach it
     tree = ast.parse(open(oracle.__file__).read())
     taken = {}
     for node in ast.walk(tree):
@@ -266,9 +265,8 @@ def test_oracle_imports_no_closed_form():
             if node.level:
                 assert node.module is not None  # no "from . import thermal"
                 taken.setdefault(node.module, set()).update(a.name for a in node.names)
-    assert set(taken) <= {"states", "thermal", "displaced"}
-    closed_form = taken.get("thermal", set()) | taken.get("displaced", set())
-    assert closed_form == {"support_contained", "validate_order", "DisplacedThermalSpec"}
+    assert set(taken) <= {"states", "thermal"}
+    assert taken.get("thermal", set()) == {"support_contained", "validate_order"}
 
 
 def test_only_the_oracle_imports_numpy():
@@ -313,6 +311,42 @@ def test_each_shared_rule_has_one_home():
                 if any(isinstance(v, str) and "mode count" in v for v in texts):
                     homes["mode counts"].add(name)
     assert homes == {"_LOG_MAX": {"states.py"}, "mode counts": {"states.py"}}
+
+
+def test_layers_import_one_way():
+    # states <- thermal <- weyl, oracle <- cli: each layer imports only the
+    # layers below it, the command line loads the oracle and the Weyl scans
+    # only inside the commands that run them, and private names cross from a
+    # sibling other than states.py only where pinned here
+    package = os.path.dirname(oracle.__file__)
+    edges, private = {}, set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        module = name[:-3]
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("petz_renyi") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                assert node.module is not None, f"{name} imports a sibling without naming it"
+                place = "top" if node in tree.body else "deferred"
+                edges.setdefault((module, place), set()).add(node.module)
+                if node.module != "states":
+                    private.update((module, a.name) for a in node.names if a.name.startswith("_"))
+    assert edges == {
+        ("thermal", "top"): {"states"},
+        ("weyl", "top"): {"states", "thermal"},
+        ("oracle", "top"): {"states", "thermal"},
+        ("cli", "top"): {"states", "thermal"},
+        ("cli", "deferred"): {"oracle", "weyl"},
+    }
+    assert private == {
+        ("weyl", "_gated_exponents"),
+        ("cli", "_threshold_scan"),
+        ("cli", "_violating_modes"),
+    }
 
 
 def _dense_spectrum(mat):

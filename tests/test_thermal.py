@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from petz_renyi.displaced import diagonal_divergence_witness
 from petz_renyi.states import ModeVector, log1mexp
 from petz_renyi.thermal import (
     DivergenceWitness,
@@ -21,6 +20,7 @@ from petz_renyi.thermal import (
     support_contained,
     validate_order,
 )
+from petz_renyi.weyl import diagonal_divergence_witness
 
 # frozen arbitrary-precision references for the closed form
 D_REF = {
@@ -221,6 +221,9 @@ def test_subnormal_exponents_decide_exactly_or_refuse():
         assert "0.0" not in str(info.value)
     with pytest.raises(ValueError, match="positive but below the normal"):
         d_alpha_thermal(ModeVector([5e-324]), ModeVector([1e-323]), 0.5)
+    # the refusal names the mode that holds the subnormal exponent
+    with pytest.raises(ValueError, match=r"r_2 \+ \(1-alpha\)\*s_2"):
+        d_alpha_thermal(ModeVector([1.0, 3e-323]), ModeVector([0.5, 3.5e-323]), 6.9)
     # a support violation decides before the refused exponent is formed
     got = d_alpha_thermal(ModeVector([1.0, 3e-323]), ModeVector([math.inf, 3.5e-323]), 6.9)
     assert got.witness.kind == "support"
