@@ -16,7 +16,7 @@ import math
 import sys
 from typing import List, Optional
 
-from .states import _LOG_MAX, DisplacedThermalSpec, ModeVector, _check_lengths
+from .states import _LOG_MAX, DisplacedThermalSpec, _as_index, _check_lengths
 from .thermal import _threshold_scan, _violating_modes, alpha_threshold, d_alpha_displaced
 
 __all__ = ["main"]
@@ -29,33 +29,21 @@ def _fmt(x: float) -> str:
 
 
 def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
+    """Indented JSON: finite floats to 17 significant digits and infinities as
+    the strings ``"inf"`` and ``"-inf"``; other scalars and empty containers as
+    ``json.dumps`` prints them."""
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        return _fmt(obj)
-    if isinstance(obj, str):
+        return json.dumps(_fmt(obj)) if math.isinf(obj) else _fmt(obj)
+    if not (obj and isinstance(obj, (list, tuple, dict))):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + _to_json(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+    pad = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + _to_json(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)}")
+        brackets = "{}"
+        items = [f"{json.dumps(str(k))}: {_to_json(v, indent + 1)}" for k, v in obj.items()]
+    else:
+        brackets, items = "[]", [_to_json(v, indent + 1) for v in obj]
+    inner = ",\n".join(pad + item for item in items)
+    return f"{brackets[0]}\n{inner}\n{'  ' * indent}{brackets[1]}"
 
 
 def _emit(obj) -> None:
@@ -66,19 +54,25 @@ def _note(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def load_state_spec(path: str) -> DisplacedThermalSpec:
+def _load_json(path: str, what: str):
+    """The one reader of JSON files, state and case files alike."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise ValueError(f"cannot parse state file {path}: {e}")
-    return _spec_from_doc(doc, path)
+        raise ValueError(f"cannot parse {what} file {path}: {e}")
+
+
+def load_state_spec(path: str) -> DisplacedThermalSpec:
+    return _spec_from_doc(_load_json(path, "state"), path)
 
 
 def _number(v, what: str, path: str) -> float:
     if not isinstance(v, bool):  # JSON true and false load as ints
         try:
             return float(v)
+        except OverflowError:  # refused, not read as inf: a finite temperature is no vacuum
+            raise ValueError(f"{what} in {path} is an integer beyond double range") from None
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{what} must be a number in {path}, got {v!r}")
@@ -106,7 +100,7 @@ def _spec_from_doc(doc, path: str) -> DisplacedThermalSpec:
             parts = [_number(v, "displacement", path) for v in pair]
             disp.append(complex(*parts))
     try:
-        return DisplacedThermalSpec(ModeVector(temps), disp)
+        return DisplacedThermalSpec(temps, disp)
     except ValueError as e:
         raise ValueError(f"invalid state spec in {path}: {e}")
 
@@ -155,8 +149,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{name} must be finite, got {_fmt(bound)}")
     if not (0.0 < args.alpha_min < args.alpha_max) and args.steps != 1:
         raise ValueError("need 0 < alpha-min < alpha-max")
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
+    _as_index(args.steps, "steps", 1)
     if args.steps == 1:
         grid = [args.alpha_min]
     else:
@@ -189,42 +182,35 @@ _VALIDATE_THERMAL_TOL = 1e-10
 _VALIDATE_DISPLACED_TOL = 1e-6
 
 
-def _default_validation_cases():
-    r = ModeVector([1.0])
-    s = ModeVector([2.0])
-    thermal = (DisplacedThermalSpec(r), DisplacedThermalSpec(s), [0.3, 0.5, 0.9, 1.5])
-    displaced = (
-        DisplacedThermalSpec(r, [1.0 + 0j]),
-        DisplacedThermalSpec(s, [0j]),
-        [0.3, 0.7, 1.5],
-    )
-    return thermal, displaced
+# the default cases, written as case files are: one thermal pair, one displaced pair
+_DEFAULT_CASES = (
+    {"rho": {"temps": [1.0]}, "sigma": {"temps": [2.0]}, "alphas": [0.3, 0.5, 0.9, 1.5]},
+    {
+        "rho": {"temps": [1.0], "displacement": [[1.0, 0.0]]},
+        "sigma": {"temps": [2.0]},
+        "alphas": [0.3, 0.7, 1.5],
+    },
+)
+
+
+def _case_from_doc(doc, path: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"case file {path} must be an object")
+    rho = _spec_from_doc(doc.get("rho"), path)
+    sigma = _spec_from_doc(doc.get("sigma"), path)
+    alphas = doc.get("alphas", [0.5])
+    if not isinstance(alphas, list) or not alphas:
+        raise ValueError(f"'alphas' must be a non-empty list of orders in {path}")
+    undisplaced = all(z == 0 for z in rho.displacement + sigma.displacement)
+    kind = "thermal" if undisplaced else "displaced"
+    return kind, rho, sigma, [_number(a, "order", path) for a in alphas]
 
 
 def cmd_validate(args) -> int:
     from .oracle import oracle_trace  # imported here: only this command needs numpy
 
-    if args.case == "default":
-        thermal_case, displaced_case = _default_validation_cases()
-        cases = [("thermal", *thermal_case), ("displaced", *displaced_case)]
-    else:
-        try:
-            with open(args.case) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ValueError(f"cannot parse case file {args.case}: {e}")
-        if not isinstance(doc, dict):
-            raise ValueError(f"case file {args.case} must be an object")
-        rho = _spec_from_doc(doc.get("rho"), args.case)
-        sigma = _spec_from_doc(doc.get("sigma"), args.case)
-        alphas = doc.get("alphas", [0.5])
-        if not isinstance(alphas, list) or not alphas:
-            raise ValueError(f"'alphas' must be a non-empty list of orders in {args.case}")
-        undisplaced = all(z == 0 for z in rho.displacement) and all(
-            z == 0 for z in sigma.displacement
-        )
-        kind = "thermal" if undisplaced else "displaced"
-        cases = [(kind, rho, sigma, [_number(a, "order", args.case) for a in alphas])]
+    docs = _DEFAULT_CASES if args.case == "default" else [_load_json(args.case, "case")]
+    cases = [_case_from_doc(doc, args.case) for doc in docs]
     # the trace argument must be a normal double for the comparison to mean anything
     log_lo = math.log(sys.float_info.min)
     results = []

@@ -26,7 +26,9 @@ import math
 
 import numpy as np
 
-from .states import _LOG_MAX, DisplacedThermalSpec, Record, _as_index, _check_lengths, log1mexp
+from .states import (
+    _LOG_MAX, DisplacedThermalSpec, Record, _as_index, _as_modes, _check_lengths, log1mexp,
+)
 from .thermal import support_contained, validate_order
 
 __all__ = [
@@ -41,28 +43,20 @@ MAX_DIM = 4096
 _RESCALE = 1e150  # below sqrt(double max): the entries square f
 
 
-def _check_dim(n: int) -> int:
-    n = _as_index(n, "truncation")
-    if n < 2:
-        raise ValueError(f"truncation must be at least 2, got {n}")
-    return n
-
-
 def annihilation_matrix(n: int) -> np.ndarray:
     """Truncated annihilation operator: entry ``(j-1, j) = sqrt(j)``."""
-    n = _check_dim(n)
+    n = _as_index(n, "truncation", 2)
     return np.diag(np.sqrt(np.arange(1.0, n)), k=1).astype(complex)
 
 
 def thermal_matrix(s: float, n: int) -> np.ndarray:
     """Truncated thermal state: ``diag((1-e^{-s}) e^{-k s})``; vacuum for ``s = inf``."""
-    n = _check_dim(n)
+    n = _as_index(n, "truncation", 2)
+    (s,) = _as_modes((s,))
     if math.isinf(s):
         d = np.zeros(n)
         d[0] = 1.0
         return np.diag(d).astype(complex)
-    if not (s > 0.0):
-        raise ValueError(f"inverse temperature must be positive, got {s}")
     k = np.arange(n)
     return np.diag(np.exp(log1mexp(s) - k * s)).astype(complex)
 
@@ -74,7 +68,7 @@ def displacement_matrix(u: complex, n: int) -> np.ndarray:
     the eigendecomposition route yields a numerically unitary result on the
     low-index block.  A dense reference for tests; the oracle does not use it.
     """
-    n = _check_dim(n)
+    n = _as_index(n, "truncation", 2)
     a = annihilation_matrix(n)
     h = -1j * (u * a.conj().T - np.conj(u) * a)
     w, v = np.linalg.eigh(h)
@@ -178,7 +172,7 @@ def oracle_trace(
     exceeds double range.  The memory is ``O(n^2)`` per displaced mode, so
     ``n`` is at most ``MAX_DIM``.
     """
-    n = _check_dim(n)
+    n = _as_index(n, "truncation", 2)
     alpha = validate_order(alpha)
     _check_lengths(rho.temps, sigma.temps)
     if n > MAX_DIM:

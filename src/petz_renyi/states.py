@@ -47,13 +47,16 @@ def _check_lengths(a: Sized, b: Sized) -> None:
         raise ValueError(f"mode counts differ: {len(a)} vs {len(b)}")
 
 
-def _as_index(value, what: str) -> int:
-    """``value`` as an ``int`` (numpy integers pass); ``ValueError`` for a
-    non-integer such as ``16.5`` or ``16.0``."""
+def _as_index(value, what: str, least: int = 0) -> int:
+    """The one count rule: ``value`` as an ``int`` of at least ``least`` (numpy
+    integers pass); ``ValueError`` for a non-integer such as ``16.5`` or ``16.0``."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{what} must be at least {least}, got {n}")
+    return n
 
 
 class Record:
@@ -133,14 +136,19 @@ class ModeVector(Record):
         return self.temps[j]
 
 
+def _as_modes(temps: "ModeVector | Iterable[float]") -> ModeVector:
+    """The one temperature rule: ``temps`` itself if a :class:`ModeVector`, else
+    one built from it (``ValueError`` for no modes or a non-positive entry)."""
+    return temps if isinstance(temps, ModeVector) else ModeVector(temps)
+
+
 class DisplacedThermalSpec(Record):
     """A thermal state conjugated by a displacement operator."""
 
     __slots__ = ("temps", "displacement")
 
     def __init__(self, temps, displacement: Optional[Sequence[complex]] = None):
-        if not isinstance(temps, ModeVector):
-            temps = ModeVector(temps)
+        temps = _as_modes(temps)
         if displacement is None:
             disp = (0j,) * len(temps)
         else:
@@ -176,5 +184,5 @@ def covariance(s: "ModeVector | Sequence[float]", alpha: float = 1.0) -> Tuple[f
     # a tanh that underflows to 0 stands in as the least subnormal: 0.5 / it overflows to inf
     return tuple(
         0.5 if math.isinf(sj) else 0.5 / (math.tanh(alpha * sj / 2.0) or 5e-324)
-        for sj in ModeVector(s)
+        for sj in _as_modes(s)
     )

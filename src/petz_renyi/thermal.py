@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from .states import (
-    _LOG_MAX, DisplacedThermalSpec, ModeVector, Record, _check_lengths, log1mexp,
+    _LOG_MAX, DisplacedThermalSpec, ModeVector, Record, _as_modes, _check_lengths, log1mexp,
     relative_displacement,
 )
 
@@ -111,6 +111,7 @@ def validate_order(alpha: float) -> float:
 
 def support_contained(r: ModeVector, s: ModeVector) -> bool:
     """True iff every vacuum mode of the second state is vacuum in the first."""
+    r, s = _as_modes(r), _as_modes(s)
     _check_lengths(r, s)
     return not _violating_modes(r, s)
 
@@ -141,6 +142,7 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
     The minimum of an empty set is infinity.  Requires support containment;
     raises :class:`SupportViolation` otherwise.
     """
+    r, s = _as_modes(r), _as_modes(s)
     _check_lengths(r, s)
     bad = _violating_modes(r, s)
     if bad:
@@ -332,6 +334,7 @@ def d_alpha_thermal(r: ModeVector, s: ModeVector, alpha: float) -> ExtendedEntro
     Raises ``ValueError`` when a finite value lies beyond double range, and
     where an exponent is positive but below the normal range (``_exponents``).
     """
+    r, s = _as_modes(r), _as_modes(s)
     return _d_alpha(r, s, (0.0,) * len(r), alpha)
 
 
@@ -354,7 +357,9 @@ def d_alpha_displaced(
 
 def _gated_exponents(r: ModeVector, s: ModeVector, alpha: float) -> tuple:
     """:func:`_exponents` behind the finiteness tests' one precondition check:
-    an order above one, equal mode counts and faithful states."""
+    valid inverse temperatures, an order above one, equal mode counts and
+    faithful states."""
+    r, s = _as_modes(r), _as_modes(s)
     alpha = validate_order(alpha)
     _check_lengths(r, s)
     if not alpha > 1.0:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from petz_renyi import weyl
 from petz_renyi.cli import main
 from petz_renyi.states import DisplacedThermalSpec, ModeVector
 from petz_renyi.thermal import d_alpha_displaced, d_alpha_thermal
@@ -439,6 +440,32 @@ def assert_exit_two(code, out, err, message):
     assert "Traceback" not in err
 
 
+def test_huge_json_integers_exit_two(states, tmp_path, capsys):
+    # an integer beyond double range is refused, not read as inf: a finite
+    # parameter is not the vacuum
+    huge = "1" + "0" * 400
+    temps = tmp_path / "huge_temps.json"
+    temps.write_text('{"temps": [' + huge + "]}")
+    disp = tmp_path / "huge_disp.json"
+    disp.write_text('{"temps": [1.0], "displacement": [[' + huge + ", 0]]}")
+    calls = (
+        (["threshold", str(temps), states["sigma"]], f"temperature in {temps}"),
+        (["entropy", str(disp), states["sigma"], "--alpha", "0.5"], f"displacement in {disp}"),
+    )
+    for argv, what in calls:
+        code, out, err = run(capsys, argv)
+        assert_exit_two(code, out, err, f"{what} is an integer beyond double range")
+        assert err.count("\n") == 1
+
+
+def test_weyl_scan_sizes_above_the_cap_exit_two(capsys):
+    # refused before any work, so nothing large is allocated
+    caps = (("--j-max", "j_max", weyl._J_MAX_CAP), ("--m-max", "m_max", weyl._M_MAX_CAP))
+    for flag, what, cap in caps:
+        code, out, err = run(capsys, ["weyl-scan", "--u-re", "1", flag, str(cap + 1)])
+        assert_exit_two(code, out, err, f"{what} must be at most {cap}, got {cap + 1}")
+
+
 def test_subnormal_exponent_exits_two(tmp_path, capsys):
     # alpha* = 7 exactly; just below it the exponent is a positive subnormal
     rho = write_state(tmp_path, "rho.json", [3e-323])
@@ -461,7 +488,10 @@ def test_threshold_mode_count_mismatch_exits_two(states, tmp_path, capsys):
     "bounds, message",
     [
         (["--alpha-min", "2", "--alpha-max", "1"], "need 0 < alpha-min < alpha-max"),
-        (["--alpha-min", "0.5", "--alpha-max", "1", "--steps", "0"], "steps must be >= 1"),
+        (
+            ["--alpha-min", "0.5", "--alpha-max", "1", "--steps", "0"],
+            "steps must be at least 1, got 0",
+        ),
     ],
 )
 def test_sweep_bad_grid_exits_two(states, capsys, bounds, message):

@@ -292,10 +292,11 @@ def test_only_the_oracle_imports_numpy():
 
 
 def test_each_shared_rule_has_one_home():
-    # the double-range constant and the equal-mode-count error are written
-    # once, in states.py, and imported everywhere else
+    # the double-range constant, the equal-mode-count error, the count rule
+    # (the one operator.index) and the temperature rule are written once, in
+    # states.py, and imported everywhere else
     package = os.path.dirname(oracle.__file__)
-    homes = {"_LOG_MAX": set(), "mode counts": set()}
+    homes = {"_LOG_MAX": set(), "mode counts": set(), "index": set(), "temperature": set()}
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -310,7 +311,17 @@ def test_each_shared_rule_has_one_home():
                 texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
                 if any(isinstance(v, str) and "mode count" in v for v in texts):
                     homes["mode counts"].add(name)
-    assert homes == {"_LOG_MAX": {"states.py"}, "mode counts": {"states.py"}}
+                if any(
+                    isinstance(v, str) and "inverse temperature must be positive" in v
+                    for v in texts
+                ):
+                    homes["temperature"].add(name)
+            elif isinstance(node, ast.Attribute) and node.attr == "index":
+                if isinstance(node.value, ast.Name) and node.value.id == "operator":
+                    homes["index"].add(name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                homes["index"].add(name)
+    assert homes == dict.fromkeys(homes, {"states.py"})
 
 
 def test_layers_import_one_way():

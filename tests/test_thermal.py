@@ -170,6 +170,31 @@ def test_support_contained():
     assert support_contained(ModeVector([math.inf]), ModeVector([math.inf]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda r, s: d_alpha_thermal(r, s, 1.5), id="d_alpha_thermal"),
+        pytest.param(alpha_threshold, id="alpha_threshold"),
+        pytest.param(support_contained, id="support_contained"),
+        pytest.param(lambda r, s: covariance_criterion(r, s, 2.5), id="covariance_criterion"),
+        pytest.param(
+            lambda r, s: diagonal_divergence_witness(r, s, [0j] * len(r), 2.5),
+            id="diagonal_divergence_witness",
+        ),
+    ],
+)
+def test_plain_sequences_meet_the_temperature_rule(call):
+    # a plain sequence of inverse temperatures is checked as its ModeVector is:
+    # no value from a non-positive, nan or empty list
+    for bad in ([-2.0], [0.0], [math.nan], []):
+        valid = [1.0] * len(bad)
+        for r, s in ((bad, valid), (valid, bad)):
+            with pytest.raises(ValueError, match="must be positive|at least one mode"):
+                call(r, s)
+    r, s = [1.0, 3.0], [2.0, 2.0]
+    assert call(r, s) == call(ModeVector(r), ModeVector(s))
+
+
 def test_covariance_criterion_examples():
     r = ModeVector([1.0, 3.0])
     s = ModeVector([2.0, 2.0])

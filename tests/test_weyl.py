@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petz_renyi import weyl
 from petz_renyi.weyl import (
     default_fejer_constant,
     fejer_scan,
@@ -82,7 +83,7 @@ def test_weyl_elements_check_degree_and_displacement():
         lambda j, u: weyl_element(j + 1, j, u),
     )
     for f in helpers:
-        with pytest.raises(ValueError, match="degree"):
+        with pytest.raises(ValueError, match="degree must be at least 0, got -1"):
             f(-1, 1.0)
         for u in (1e200, complex(0.0, 1e200), math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
@@ -112,6 +113,21 @@ def test_degrees_and_counts_must_be_integers():
     assert list(weyl_diag_sequence(np.int64(3), 0.5)) == list(weyl_diag_sequence(3, 0.5))
     assert fejer_scan(1.0, np.int64(50)) == fejer_scan(1.0, 50)
     assert sine_interval_indices(0.1, np.int32(3)) == sine_interval_indices(0.1, 3)
+
+
+def test_scan_sizes_are_capped():
+    # each cap admits the benchmark's sizes and refuses the next count before
+    # any work; a count below one keeps the count rule's wording
+    assert weyl._J_MAX_CAP >= 20000 and weyl._M_MAX_CAP >= 10
+    scans = (
+        ("j_max", weyl._J_MAX_CAP, lambda n: fejer_scan(1.0, n)),
+        ("m_max", weyl._M_MAX_CAP, lambda n: sine_interval_indices(1.0, n)),
+    )
+    for what, cap, scan in scans:
+        with pytest.raises(ValueError, match=f"{what} must be at most {cap}, got {cap + 1}"):
+            scan(cap + 1)
+        with pytest.raises(ValueError, match=f"{what} must be at least 1, got 0"):
+            scan(0)
 
 
 def test_recurrence_rescales_before_a_step_overflows():
