@@ -6,8 +6,9 @@ covariance criteria, and cross-validates every closed form against a
 truncated-Fock-space brute-force oracle.
 
 Public names are exported lazily (PEP 562): a submodule is imported on first
-access to one of its names, so the closed forms, which need only ``math``, never
-load numpy.
+access to one of its names.  The closed forms need only ``math``, and the
+oracle imports numpy inside its functions, so numpy loads on the first oracle
+call, not on import.
 """
 
 import importlib

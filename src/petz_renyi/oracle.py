@@ -23,13 +23,15 @@ and uses no formula for the trace.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .states import (
     _LOG_MAX, DisplacedThermalSpec, Record, _as_index, _as_modes, _check_lengths, log1mexp,
 )
 from .thermal import support_contained, validate_order
+
+if TYPE_CHECKING:  # each function imports numpy itself: importing this module loads none
+    import numpy as np
 
 __all__ = [
     "annihilation_matrix",
@@ -45,12 +47,16 @@ _RESCALE = 1e150  # below sqrt(double max): the entries square f
 
 def annihilation_matrix(n: int) -> np.ndarray:
     """Truncated annihilation operator: entry ``(j-1, j) = sqrt(j)``."""
+    import numpy as np
+
     n = _as_index(n, "truncation", 2)
     return np.diag(np.sqrt(np.arange(1.0, n)), k=1).astype(complex)
 
 
 def thermal_matrix(s: float, n: int) -> np.ndarray:
     """Truncated thermal state: ``diag((1-e^{-s}) e^{-k s})``; vacuum for ``s = inf``."""
+    import numpy as np
+
     n = _as_index(n, "truncation", 2)
     (s,) = _as_modes((s,))
     if math.isinf(s):
@@ -68,6 +74,8 @@ def displacement_matrix(u: complex, n: int) -> np.ndarray:
     the eigendecomposition route yields a numerically unitary result on the
     low-index block.  A dense reference for tests; the oracle does not use it.
     """
+    import numpy as np
+
     n = _as_index(n, "truncation", 2)
     a = annihilation_matrix(n)
     h = -1j * (u * a.conj().T - np.conj(u) * a)
@@ -84,6 +92,8 @@ class OracleTrace(Record):
 def _log_weights(temps, p: float, k: np.ndarray) -> np.ndarray:
     """``log(lam^p)`` at the levels ``k``, one row per mode; ``-inf`` on the
     kernel (``lam = 0``, vacuum modes) at either sign of ``p``."""
+    import numpy as np
+
     return np.array(
         [
             np.where(k == 0, 0.0, -np.inf) if math.isinf(t) else p * log1mexp(t) - p * t * k
@@ -106,6 +116,8 @@ def _log_entries(u: np.ndarray, n: int) -> np.ndarray:
     22.14.13); where that bound can pass ``limit``, an exponent register
     rescales before a step could take ``f_k^2`` out of double range.
     """
+    import numpy as np
+
     if not np.abs(u).max() <= 1e50:  # |u|^2 <= 1e100 keeps limit above 1
         raise ValueError("a relative displacement exceeds 1e50 in modulus")
     x = np.abs(u) ** 2
@@ -147,6 +159,8 @@ def _log_product(terms: np.ndarray, axis) -> float:
 
     Every mode has a finite term (``k = l = 0``), so every factor is positive.
     """
+    import numpy as np
+
     top = terms.max(axis=axis, keepdims=True)
     sums = np.exp(terms - top).sum(axis=axis)
     return math.fsum(top.ravel()) + math.fsum(map(math.log, sums.ravel()))
@@ -172,6 +186,8 @@ def oracle_trace(
     exceeds double range.  The memory is ``O(n^2)`` per displaced mode, so
     ``n`` is at most ``MAX_DIM``.
     """
+    import numpy as np
+
     n = _as_index(n, "truncation", 2)
     alpha = validate_order(alpha)
     _check_lengths(rho.temps, sigma.temps)

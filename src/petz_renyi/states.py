@@ -47,15 +47,18 @@ def _check_lengths(a: Sized, b: Sized) -> None:
         raise ValueError(f"mode counts differ: {len(a)} vs {len(b)}")
 
 
-def _as_index(value, what: str, least: int = 0) -> int:
-    """The one count rule: ``value`` as an ``int`` of at least ``least`` (numpy
-    integers pass); ``ValueError`` for a non-integer such as ``16.5`` or ``16.0``."""
+def _as_index(value, what: str, least: int = 0, most: Optional[int] = None) -> int:
+    """The one count rule: ``value`` as an ``int`` of at least ``least`` and, if
+    given, at most ``most`` (numpy integers pass); ``ValueError`` for a
+    non-integer such as ``16.5`` or ``16.0``."""
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if n < least:
         raise ValueError(f"{what} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"{what} must be at most {most}, got {n}")
     return n
 
 

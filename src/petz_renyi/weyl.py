@@ -156,9 +156,7 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
     ``_M_MAX_CAP``, and where the intervals leave double range (``|u|`` below
     about ``1.6e-150 m_max``).
     """
-    x, m_max = _squared_modulus(u), _as_index(m_max, "m_max", 1)
-    if m_max > _M_MAX_CAP:
-        raise ValueError(f"m_max must be at most {_M_MAX_CAP}, got {m_max}")
+    x, m_max = _squared_modulus(u), _as_index(m_max, "m_max", 1, _M_MAX_CAP)
     if not m_max * math.pi / (2.0 * abs(u)) < 1e150:
         raise ValueError(f"phase intervals leave double range at |u| = {abs(u)}")
     out: List[SineIntervalWitness] = []
@@ -214,17 +212,18 @@ def _diag_window(x: float, lo: int, hi: int) -> Iterator[Tuple[int, Tuple[float,
     return itertools.islice(enumerate(_laguerre_run(hi, x)), lo, None)
 
 
-def _fejer_hits(window: Iterable, x: float, c: float) -> List[Tuple[int, float]]:
+def _fejer_hits(window: Iterable, x: float, c: float) -> Iterator[Tuple[int, float]]:
     """``(j, |<j|W(u)|j>|)`` along a :func:`_diag_window` (``j >= 1``) at ``x =
     |u|^2`` where the element, formed once as ``exp(log|v| + e - x/2)``, is at
-    least ``c * j^{-3/8}``."""
+    least ``c * j^{-3/8}``; read lazily, so a caller that stops early stops the
+    recurrence too."""
     half = 0.5 * x
-    return [
+    return (
         (j, mag)
         for j, (v, e) in window
         if (mag := math.exp(math.log(abs(v)) + e - half) if v else 0.0)
         >= c * j**-_FEJER_EXPONENT
-    ]
+    )
 
 
 def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
@@ -243,15 +242,30 @@ def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
         raise ValueError(f"constant must be positive, got {c}")
     if math.isinf(c):
         raise ValueError(f"constant must be finite, got {c}")
-    j_max = _as_index(j_max, "j_max", 1)
-    if j_max > _J_MAX_CAP:
-        raise ValueError(f"j_max must be at most {_J_MAX_CAP}, got {j_max}")
+    j_max = _as_index(j_max, "j_max", 1, _J_MAX_CAP)
     return [j for j, _ in _fejer_hits(_diag_window(x, 1, j_max), x, c)]
 
 
 _WITNESS_SCAN = 1024
 _WITNESS_SAMPLE = 16
 _WITNESS_REACH = 2**20  # caps x/4: the recurrence climbs from k = 0 to the scan
+
+
+def _witness_sample(hits: Iterable[Tuple[int, float]], expo: float) -> Tuple[int, ...]:
+    """The first ``_WITNESS_SAMPLE`` evident hits, whose series term ``e^{-expo
+    k} |<k|W(u)|k>|^2`` is at least 1, else every evident hit, else the first
+    ``_WITNESS_SAMPLE`` hits; the reading of ``hits`` stops at the last
+    evident hit kept."""
+    head: List[int] = []
+    evident: List[int] = []
+    for k, mag in hits:
+        if len(head) < _WITNESS_SAMPLE:
+            head.append(k)
+        if -expo * k + 2.0 * math.log(mag) >= 0.0:
+            evident.append(k)
+            if len(evident) == _WITNESS_SAMPLE:
+                break
+    return tuple(evident or head)
 
 
 def diagonal_divergence_witness(
@@ -262,10 +276,12 @@ def diagonal_divergence_witness(
     If some mode has ``alpha r + (1-alpha) s <= 0``, its diagonal series terms
     ``e^{-k (alpha r + (1-alpha) s)} |<W(u) k|k>|^2`` do not decay: along the
     Fejer scan indices the squared element is bounded below by ``C^2 /
-    k^{3/4}`` while the exponential factor is nondecreasing.  The scan covers
-    1,024 indices from ``max(1, floor(x/4) - 64)``, ``x = |u_j|^2``, since the
-    oscillation of ``L_k(x)`` begins near ``k = x/4``; one Laguerre pass
-    yields both the scan and the (at most 16) sampled indices.  Returns
+    k^{3/4}`` while the exponential factor is nondecreasing.  The scan reads
+    up to 1,024 indices from ``max(1, floor(x/4) - 64)``, ``x = |u_j|^2``,
+    since the oscillation of ``L_k(x)`` begins near ``k = x/4``, and stops at
+    the 16th evident hit, one whose series term has already reached 1; the
+    sample is those 16, else every evident hit, else the first 16 hits.  One
+    Laguerre pass yields both the scan and the sampled indices.  Returns
     ``None`` when every exponent is positive (the convergent regime).  Raises
     ``ValueError`` where ``x/4 > 2^20`` (``|u_j| > 2048``) and where the scan
     holds no hit, so the sample is never empty.  Preconditions are those of
@@ -290,17 +306,15 @@ def diagonal_divergence_witness(
         if not x / 4.0 <= _WITNESS_REACH:
             raise ValueError(f"|u| = {abs(uj)} puts the Laguerre oscillation beyond k = 2^20")
         lo = max(1, math.floor(x / 4.0) - 64)
-        window = list(_diag_window(x, lo, lo + _WITNESS_SCAN - 1))
+        hi = lo + _WITNESS_SCAN - 1
         c = 1.0 / (2.0 * math.sqrt(2.0 * math.pi * abs(uj)))
-        hits = _fejer_hits(window, x, c)
-        if not hits and c > 1.0:
+        sample = _witness_sample(_fejer_hits(_diag_window(x, lo, hi), x, c), expo)
+        if not sample and c > 1.0:
             # |u_j| below about 2.2e-4 puts the first hit past the scan
             # (k >= c^{8/3}); there every element is near 1: take them all
-            hits = _fejer_hits(window, x, 0.0)
-        if not hits:
+            sample = _witness_sample(_fejer_hits(_diag_window(x, lo, hi), x, 0.0), expo)
+        if not sample:
             raise ValueError(f"no Fejer hit among the scanned indices at |u| = {abs(uj)}")
-        evident = [(k, mag) for k, mag in hits if -expo * k + 2.0 * math.log(mag) >= 0.0]
-        sample = tuple(k for k, _ in (evident or hits)[:_WITNESS_SAMPLE])
     return DivergenceWitness(
         kind="diagonal-subseries",
         mode=j,

@@ -131,7 +131,12 @@ def test_package_import_loads_numpy_only_on_demand(fresh_python):
         "assert 'numpy' not in sys.modules, 'import petz_renyi loaded numpy'\n"
         "petz_renyi.d_alpha_thermal\n"
         "assert 'numpy' not in sys.modules, 'the thermal closed form loaded numpy'\n"
-        "petz_renyi.oracle_trace\n"
+        "oracle_trace = petz_renyi.oracle_trace\n"
+        "assert 'numpy' not in sys.modules, 'looking up the oracle loaded numpy'\n"
+        "from petz_renyi import *\n"
+        "assert 'numpy' not in sys.modules, 'the star import loaded numpy'\n"
+        "spec = DisplacedThermalSpec(ModeVector([1.0]), [0.5])\n"
+        "oracle_trace(spec, spec, 0.5, 4)\n"
         "assert 'numpy' in sys.modules, 'the oracle did not load numpy'\n"
     )
     proc = fresh_python(program)

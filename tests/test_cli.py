@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from petz_renyi import weyl
+from petz_renyi import cli, weyl
 from petz_renyi.cli import main
 from petz_renyi.states import DisplacedThermalSpec, ModeVector
 from petz_renyi.thermal import d_alpha_displaced, d_alpha_thermal
@@ -456,6 +456,29 @@ def test_huge_json_integers_exit_two(states, tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert_exit_two(code, out, err, f"{what} is an integer beyond double range")
         assert err.count("\n") == 1
+
+
+def test_unreadable_json_names_the_file(states, tmp_path, capsys):
+    # past the digit limit of int() and outside UTF-8, json.load raises a
+    # plain ValueError, which is reported like a syntax error
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"temps": [' + "1" * 5001 + "]}")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'\xff{"temps": [1.0]}')
+    for path in (digits, latin):
+        code, out, err = run(capsys, ["threshold", str(path), states["sigma"]])
+        assert_exit_two(code, out, err, f"cannot parse state file {path}: ")
+        assert err.count("\n") == 1
+    code, out, err = run(capsys, ["validate", "--case", str(latin)])
+    assert_exit_two(code, out, err, f"cannot parse case file {latin}: ")
+
+
+def test_sweep_steps_above_the_cap_exit_two(states, capsys):
+    # refused before the grid is built, so nothing is printed
+    cap = cli._MAX_STEPS
+    argv = ["sweep", states["rho"], states["sigma"], "--alpha-min", "0.5", "--alpha-max", "2"]
+    code, out, err = run(capsys, [*argv, "--steps", str(cap + 1)])
+    assert_exit_two(code, out, err, f"steps must be at most {cap}, got {cap + 1}")
 
 
 def test_weyl_scan_sizes_above_the_cap_exit_two(capsys):

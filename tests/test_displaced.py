@@ -1,6 +1,9 @@
 """Displaced-state entropy closed form, finiteness prediction, and witnesses."""
 
+import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,8 @@ from petz_renyi.oracle import oracle_trace
 from petz_renyi.states import DisplacedThermalSpec, ModeVector, relative_displacement
 from petz_renyi import weyl
 from petz_renyi.thermal import (
+    DivergenceWitness,
+    _gated_exponents,
     alpha_threshold,
     covariance_criterion,
     d_alpha_displaced,
@@ -287,6 +292,126 @@ def test_diagonal_witness_reads_one_laguerre_pass(monkeypatch):
     w = diagonal_divergence_witness(r, s, [1.0, 2 - 1j], 3.0)
     assert w.sample_indices
     assert len(calls) == 1
+
+
+def test_diagonal_witness_stops_at_the_sixteenth_evident_hit(monkeypatch):
+    read = []
+    run = weyl._laguerre_run
+
+    def counted(*args):
+        for value in run(*args):
+            read.append(value)
+            yield value
+
+    monkeypatch.setattr(weyl, "_laguerre_run", counted)
+    w = diagonal_divergence_witness(ModeVector([1.0]), ModeVector([2.0]), [1.0], 3.0)
+    assert len(w.sample_indices) == 16
+    assert len(read) < 1024
+
+
+def _full_scan_witness(r, s, u, alpha):
+    """The diagonal witness as it was when it read all 1,024 scanned indices
+    before sampling: the frozen reference of the early-stopping one."""
+    ts, bad = _gated_exponents(r, s, alpha)
+    if not bad:
+        return None
+    j = min(bad, key=lambda j: ts[j - 1])
+    expo = ts[j - 1]
+    uj = complex(u[j - 1])
+    if uj == 0:
+        sample = tuple(2**i for i in range(16))
+    else:
+        x = weyl._squared_modulus(uj)
+        if not x / 4.0 <= 2**20:
+            raise ValueError(f"|u| = {abs(uj)} puts the Laguerre oscillation beyond k = 2^20")
+        lo = max(1, math.floor(x / 4.0) - 64)
+        window = list(itertools.islice(enumerate(weyl._laguerre_run(lo + 1023, x)), lo, None))
+
+        def hits_at(c):
+            return [
+                (k, mag)
+                for k, (v, e) in window
+                if (mag := math.exp(math.log(abs(v)) + e - 0.5 * x) if v else 0.0)
+                >= c * k**-0.375
+            ]
+
+        c = 1.0 / (2.0 * math.sqrt(2.0 * math.pi * abs(uj)))
+        hits = hits_at(c)
+        if not hits and c > 1.0:
+            hits = hits_at(0.0)
+        if not hits:
+            raise ValueError(f"no Fejer hit among the scanned indices at |u| = {abs(uj)}")
+        evident = [(k, mag) for k, mag in hits if -expo * k + 2.0 * math.log(mag) >= 0.0]
+        sample = tuple(k for k, _ in (evident or hits)[:16])
+    return DivergenceWitness(
+        kind="diagonal-subseries",
+        mode=j,
+        detail=(
+            f"alpha*r + (1-alpha)*s = {expo} <= 0 for mode {j}; the diagonal "
+            "series terms are bounded below along the sampled indices"
+        ),
+        exponent=expo,
+        sample_indices=sample,
+    )
+
+
+def _witness_inputs(count):
+    """``(r, s, u, alpha)``: ``count`` seeded draws with 1, 3 or 8 modes,
+    ``alpha`` from ``alpha*(1 + 1e-6)`` to ``2 alpha*`` and ``|u|`` from 1e-12
+    to 30, some modes at ``u = 0``; then orders with few evident hits, and
+    the displacements the scan reaches last or not at all."""
+    rng = random.Random(7)
+
+    def displacement():
+        if rng.random() < 0.1:
+            return 0j
+        # half below |u| = 0.04, where the Fejer constant exceeds 1
+        low, high = (-12.0, -1.4) if rng.random() < 0.5 else (-1.4, math.log10(30.0))
+        return cmath.rect(10.0 ** rng.uniform(low, high), rng.uniform(0.0, 2.0 * math.pi))
+
+    out = []
+    for i in range(count):
+        n = (1, 3, 8)[i % 3]
+        r = [rng.uniform(0.05, 5.0) for _ in range(n)]
+        s = [rng.uniform(0.05, 5.0) for _ in range(n)]
+        k = rng.randrange(n)
+        r[k], s[k] = min(r[k], s[k]), max(r[k], s[k]) + 1e-3  # alpha* is finite
+        u = [displacement() for _ in range(n)]
+        star = alpha_threshold(r, s).alpha_star
+        out.append((r, s, u, star * (1.0 + 10.0 ** rng.uniform(-6.0, 0.0))))
+    # orders at which 1 to 15 of the scanned hits are evident (exponent 2 - alpha)
+    for u, low, high in ((0.5, 3.87e-3, 4.06e-3), (1.0, 4.55e-3, 4.6e-3), (3.0, 5.72e-3, 5.93e-3)):
+        out.extend(([1.0], [2.0], [u], 2.0 + low + (high - low) * i / 9) for i in range(10))
+    for u in (1e-4, 0.5, 10.0, 100.0, 500j, 2048.0, 2049.0, 1e100):
+        out.append(([1.0], [2.0], [u], 3.0))
+    return out
+
+
+def _outcome(witness, *args):
+    try:
+        return witness(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_diagonal_witness_matches_the_full_scan():
+    # the early stop keeps every record and every refusal of the full scan,
+    # also at the small-|u| inputs of test_diagonal_witness_small_displacement_samples
+    r, s = [1.1281195319156945], [1.3212159233064045]
+    star = alpha_threshold(r, s).alpha_star
+    small = [
+        (r, s, [u], alpha)
+        for alpha in (9.104227315428496, math.nextafter(star, math.inf))
+        for u in (-5.808865065626279e-06 - 1.5757093621421303e-05j, 1e-12, 1e-8, 1e-5, 1e-4)
+    ]
+    outcomes = []
+    for r, s, u, alpha in _witness_inputs(2000) + small:
+        args = (ModeVector(r), ModeVector(s), u, alpha)
+        outcomes.append(_outcome(_full_scan_witness, *args))
+        assert _outcome(diagonal_divergence_witness, *args) == outcomes[-1], args
+    assert sum(isinstance(w, str) for w in outcomes) == 2
+    # some samples hold fewer than 16 indices: every evident hit of the window
+    assert sum(len(w.sample_indices) < 16 for w in outcomes if not isinstance(w, str)) >= 20
 
 
 def test_diagonal_witness_preconditions():

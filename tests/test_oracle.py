@@ -293,10 +293,13 @@ def test_only_the_oracle_imports_numpy():
 
 def test_each_shared_rule_has_one_home():
     # the double-range constant, the equal-mode-count error, the count rule
-    # (the one operator.index) and the temperature rule are written once, in
-    # states.py, and imported everywhere else
+    # (the one operator.index and its bounds) and the temperature rule are
+    # written once, in states.py, and imported everywhere else
     package = os.path.dirname(oracle.__file__)
-    homes = {"_LOG_MAX": set(), "mode counts": set(), "index": set(), "temperature": set()}
+    homes = {
+        "_LOG_MAX": set(), "mode counts": set(), "index": set(), "bounds": set(),
+        "temperature": set(),
+    }
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
@@ -311,6 +314,11 @@ def test_each_shared_rule_has_one_home():
                 texts = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
                 if any(isinstance(v, str) and "mode count" in v for v in texts):
                     homes["mode counts"].add(name)
+                if any(
+                    isinstance(v, str) and ("must be at least" in v or "must be at most" in v)
+                    for v in texts
+                ):
+                    homes["bounds"].add(name)
                 if any(
                     isinstance(v, str) and "inverse temperature must be positive" in v
                     for v in texts
