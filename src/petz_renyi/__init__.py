@@ -22,8 +22,8 @@ _EXPORTS = {
         " ThresholdResult alpha_threshold covariance_criterion d_alpha_displaced"
         " d_alpha_thermal support_contained validate_order",
         "weyl": "SineIntervalWitness default_fejer_constant diagonal_divergence_witness"
-        " fejer_scan laguerre sine_interval_indices weyl_diag weyl_diag_sequence weyl_element",
-        "oracle": "OracleTrace annihilation_matrix displacement_matrix oracle_trace thermal_matrix",
+        " fejer_scan sine_interval_indices",
+        "oracle": "OracleTrace displacement_matrix oracle_trace",
     }.items()
     for name in names.split()
 }

@@ -11,6 +11,7 @@ failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -68,7 +69,8 @@ def load_state_spec(path: str) -> DisplacedThermalSpec:
 
 
 def _number(v, what: str, path: str) -> float:
-    if not isinstance(v, bool):  # JSON true and false load as ints
+    # JSON true and false load as ints; float() would read a string such as "1.5"
+    if not isinstance(v, (bool, str)):
         try:
             return float(v)
         except OverflowError:  # refused, not read as inf: a finite temperature is no vacuum
@@ -277,12 +279,14 @@ def cmd_validate(args) -> int:
 
 def cmd_weyl_scan(args) -> int:
     # imported here: only this command runs the Laguerre recurrence (standard library)
-    from .weyl import default_fejer_constant, fejer_scan, sine_interval_indices
+    from .weyl import default_fejer_constant, fejer_stream, sine_interval_indices
 
     u = complex(args.u_re, args.u_im)
     witnesses = sine_interval_indices(u, args.m_max)
     c = args.c if args.c is not None else default_fejer_constant(u)
-    qualifying = fejer_scan(u, args.j_max, c)
+    hits = fejer_stream(u, args.j_max, c)
+    head = list(itertools.islice(hits, 50))
+    count = len(head) + sum(1 for _ in hits)  # counted, not listed: memory stays flat
     wit_records = []
     for w in witnesses:
         sine = abs(math.sin(2.0 * math.sqrt(w.j) * abs(u) + math.pi / 4.0))
@@ -300,12 +304,12 @@ def cmd_weyl_scan(args) -> int:
             "u": [u.real, u.imag],
             "constant": c,
             "j_max": args.j_max,
-            "count": len(qualifying),
-            "qualifying_head": qualifying[:50],
+            "count": count,
+            "qualifying_head": head,
             "witnesses": wit_records,
         }
     )
-    _note(f"{len(qualifying)} qualifying indices up to {args.j_max}")
+    _note(f"{count} qualifying indices up to {args.j_max}")
     return 0
 
 

@@ -1,8 +1,8 @@
-"""Laguerre polynomials and displacement-operator matrix elements.
+"""The Laguerre recurrence, the Fejer and sine-interval scans, and the diagonal witness.
 
 The diagonal Fock-basis matrix element of the single-mode displacement
-operator is ``<j|W(u)|j> = exp(-|u|^2/2) L_j(|u|^2)``; off-diagonal elements
-carry an associated Laguerre polynomial.  The Fejer large-degree asymptotic
+operator is ``<j|W(u)|j> = exp(-|u|^2/2) L_j(|u|^2)``.  The Fejer
+large-degree asymptotic
 
     ``L_j(x) ~ j^{-1/4} e^{x/2} (pi^2 x)^{-1/4} sin(2 sqrt(j x) + pi/4)``
 
@@ -10,18 +10,19 @@ implies the diagonal elements decay only like ``j^{-1/4}`` along a positive
 density of indices, which is what the scans and the diagonal divergence
 witness here certify.
 
-Every polynomial value, of a single degree or of a whole sequence, comes
-from one upward three-term recurrence, ``_laguerre_run``.  The direct
+They read the diagonal in one streamed pass of one upward three-term
+recurrence, ``_laguerre_run``, on the standard library alone.  The direct
 binomial sum cancels catastrophically beyond degree ~20 and survives only in
 the exact-rational test oracles.  The recurrence carries a separate exponent
 register so that degrees and arguments far beyond the overflow range of a
-bare double stay usable.  The scans read that recurrence in one streamed
-pass, on the standard library alone.
+bare double stay usable.  The oracle runs the same recurrence, scaled and
+vectorised, for its matrix entries; the tests read single Weyl matrix
+elements, associated degree ``m`` included, off ``_laguerre_run`` itself
+(``tests/laguerre.py``).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -30,10 +31,6 @@ from .states import _LOG_MAX, ModeVector, Record, _as_index, _check_lengths
 from .thermal import DivergenceWitness, _gated_exponents
 
 __all__ = [
-    "laguerre",
-    "weyl_diag",
-    "weyl_diag_sequence",
-    "weyl_element",
     "SineIntervalWitness",
     "sine_interval_indices",
     "default_fejer_constant",
@@ -42,22 +39,6 @@ __all__ = [
 ]
 
 _RESCALE = 1e250
-
-
-def laguerre(j: int, x: float) -> float:
-    """Laguerre polynomial ``L_j(x)`` for ``x >= 0``.
-
-    Raises ``ValueError`` when ``|L_j(x)|`` exceeds double range.
-    """
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    j = _as_index(j, "degree")
-    sign, logabs = _laguerre_sign_log(j, x, m=0)
-    if logabs == -math.inf:
-        return 0.0
-    if logabs > _LOG_MAX:
-        raise ValueError(f"|L_{j}({x})| = e^{logabs} exceeds double range")
-    return sign * math.exp(logabs)
 
 
 def _laguerre_run(n: int, x: float, m: int = 0) -> Iterator[Tuple[float, float]]:
@@ -80,61 +61,11 @@ def _laguerre_run(n: int, x: float, m: int = 0) -> Iterator[Tuple[float, float]]
         yield curr, offset
 
 
-def _laguerre_sign_log(n: int, x: float, m: int = 0) -> Tuple[float, float]:
-    """(sign, log|value|) of the associated Laguerre ``L_n^{(m)}(x)``."""
-    for v, offset in _laguerre_run(n, x, m):
-        pass
-    if v == 0.0:
-        return 1.0, -math.inf
-    return math.copysign(1.0, v), math.log(abs(v)) + offset
-
-
-def weyl_diag(j: int, u: complex) -> float:
-    """Diagonal matrix element ``<j|W(u)|j> = e^{-|u|^2/2} L_j(|u|^2)`` (real)."""
-    return weyl_element(j, j, u).real
-
-
-def weyl_diag_sequence(jmax: int, u: complex) -> Tuple[float, ...]:
-    """``weyl_diag(j, u)`` for all ``j <= jmax`` in one recurrence pass."""
-    jmax, x = _as_index(jmax, "degree"), _element_modulus(u)
-    half = 0.5 * x
-    return tuple(
-        math.copysign(math.exp(math.log(abs(v)) + e - half), v) if v else 0.0
-        for v, e in _laguerre_run(jmax, x)
-    )
-
-
-def weyl_element(row: int, col: int, u: complex) -> complex:
-    """Fock-basis matrix element ``<row|W(u)|col>`` of the displacement operator.
-
-    Closed form via associated Laguerre polynomials; for ``row >= col``
-
-        ``sqrt(col!/row!) u^{row-col} e^{-|u|^2/2} L_col^{(row-col)}(|u|^2)``
-
-    and the adjoint relation ``W(u)^dagger = W(-u)`` supplies the lower
-    triangle.  Validated against the dense matrix exponential oracle.
-    """
-    row, col, x = _as_index(row, "degree"), _as_index(col, "degree"), _element_modulus(u)
-    if u == 0:
-        return 1.0 + 0.0j if row == col else 0.0j
-    n, big = (col, row) if row >= col else (row, col)
-    m = big - n
-    sign, logabs = _laguerre_sign_log(n, x, m=m)
-    if logabs == -math.inf:
-        return 0.0j
-    log_mag = (
-        -0.5 * x
-        + 0.5 * (math.lgamma(n + 1) - math.lgamma(big + 1))
-        + m * math.log(abs(u))
-        + logabs
-    )
-    base = u / abs(u) if row >= col else -u.conjugate() / abs(u)
-    return sign * (base**m) * cmath.exp(log_mag)
-
-
 # size caps of the scans, checked before any work.  Measured on Python 3.11 (2 vCPUs)
-# at about 2-3 us and 190 B per sine interval and 1.1-1.8 us and 115 B per Fejer
-# index, a capped call stays within about 0.3 s and 19 MB, or 1.8 s and 115 MB
+# at about 2-3 us and 190 B per sine interval, a capped call stays within about 0.3 s
+# and 19 MB.  A Fejer index takes 1.0-1.4 us; weyl-scan counts the stream, so its
+# capped call takes about 1.4 s and no memory beyond the import, while fejer_scan's
+# list takes about 36 MB more
 _M_MAX_CAP = 10**5
 _J_MAX_CAP = 10**6
 
@@ -168,12 +99,6 @@ def sine_interval_indices(u: complex, m_max: int) -> List[SineIntervalWitness]:
         j = math.floor(lo) + 1
         out.append(SineIntervalWitness(m=m, lo=lo, hi=lo + width, j=j))
     return out
-
-
-def _element_modulus(u: complex) -> float:
-    """``|u|^2`` for matrix elements, checked as by :func:`_squared_modulus`
-    except that ``u = 0`` passes."""
-    return 0.0 if u == 0 else _squared_modulus(u)
 
 
 def _squared_modulus(u: complex) -> float:
@@ -235,6 +160,12 @@ def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
     while the damped ``c = 1/(2 sqrt(2 pi |u|))`` finds about 18,500 at each.
     Raises ``ValueError`` for ``j_max`` above ``_J_MAX_CAP``.
     """
+    return list(fejer_stream(u, j_max, c))
+
+
+def fejer_stream(u: complex, j_max: int, c: Optional[float] = None) -> Iterator[int]:
+    """The indices of :func:`fejer_scan`, read lazily, so a caller that counts
+    them holds none; every argument is checked before this returns."""
     x = _squared_modulus(u)
     if c is None:
         c = default_fejer_constant(u)
@@ -243,7 +174,7 @@ def fejer_scan(u: complex, j_max: int, c: Optional[float] = None) -> List[int]:
     if math.isinf(c):
         raise ValueError(f"constant must be finite, got {c}")
     j_max = _as_index(j_max, "j_max", 1, _J_MAX_CAP)
-    return [j for j, _ in _fejer_hits(_diag_window(x, 1, j_max), x, c)]
+    return (j for j, _ in _fejer_hits(_diag_window(x, 1, j_max), x, c))
 
 
 _WITNESS_SCAN = 1024

@@ -22,14 +22,9 @@ from petz_renyi.thermal import (
     d_alpha_displaced,
     d_alpha_thermal,
 )
-from petz_renyi.weyl import (
-    diagonal_divergence_witness,
-    fejer_scan,
-    laguerre,
-    sine_interval_indices,
-    weyl_diag,
-)
+from petz_renyi.weyl import diagonal_divergence_witness, fejer_scan, sine_interval_indices
 
+from laguerre import laguerre, weyl_diag
 from test_weyl import laguerre_rational
 
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from petz_renyi import cli, weyl
+from petz_renyi import cli, oracle, weyl
 from petz_renyi.cli import main
 from petz_renyi.states import DisplacedThermalSpec, ModeVector
 from petz_renyi.thermal import d_alpha_displaced, d_alpha_thermal
@@ -380,7 +381,8 @@ def test_weyl_scan_out_of_range_exits_two(argv, capsys):
 
 
 def test_entropy_non_finite_displacement_exits_two(states, tmp_path, capsys):
-    for k, part in enumerate(["nan", "inf", "-inf"]):
+    # the JSON literals NaN, Infinity and -Infinity; strings are no numbers at all
+    for k, part in enumerate([math.nan, math.inf, -math.inf]):
         rho = write_state(tmp_path, f"nf{k}.json", [1.0], [[part, 0]])
         code, out, err = run(capsys, ["entropy", rho, states["sigma"], "--alpha", "1.5"])
         assert code == 2
@@ -458,6 +460,21 @@ def test_huge_json_integers_exit_two(states, tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_string_displacement_component_exits_two(states, tmp_path, capsys):
+    # float() would read "1.5": a JSON string is no number
+    rho = write_state(tmp_path, "string_disp.json", [1.0], [["1.5", "0"]])
+    code, out, err = run(capsys, ["entropy", rho, states["sigma"], "--alpha", "0.5"])
+    assert_exit_two(code, out, err, f"displacement must be a number in {rho}, got '1.5'")
+
+
+def test_string_order_exits_two(tmp_path, capsys):
+    case = tmp_path / "string_order.json"
+    doc = {"rho": {"temps": [1.0]}, "sigma": {"temps": [2.0]}, "alphas": ["0.5"]}
+    case.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["validate", "--case", str(case)])
+    assert_exit_two(code, out, err, f"order must be a number in {case}, got '0.5'")
+
+
 def test_unreadable_json_names_the_file(states, tmp_path, capsys):
     # past the digit limit of int() and outside UTF-8, json.load raises a
     # plain ValueError, which is reported like a syntax error
@@ -487,6 +504,34 @@ def test_weyl_scan_sizes_above_the_cap_exit_two(capsys):
     for flag, what, cap in caps:
         code, out, err = run(capsys, ["weyl-scan", "--u-re", "1", flag, str(cap + 1)])
         assert_exit_two(code, out, err, f"{what} must be at most {cap}, got {cap + 1}")
+
+
+def test_weyl_scan_counts_without_listing(capsys):
+    # the hits are counted from a stream: listing the 89,890 hits up to
+    # 100,000 peaked at 3.5 MB under tracemalloc
+    tracemalloc.start()
+    try:
+        code = main(["weyl-scan", "--u-re", "1", "--j-max", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 0 and rec["count"] == 89890
+    assert peak < 1_000_000
+
+
+def test_validate_refuses_the_table_beyond_its_bound(tmp_path, capsys, monkeypatch):
+    # three displaced modes at the largest truncation would need about 1.8 GB:
+    # refused before the oracle builds its table
+    def never(*args):
+        raise AssertionError("the oracle built its table")
+
+    monkeypatch.setattr(oracle, "_log_entries", never)
+    case = tmp_path / "three_modes.json"
+    rho = {"temps": [1.0] * 3, "displacement": [[1.0, 0.0]] * 3}
+    case.write_text(json.dumps({"rho": rho, "sigma": {"temps": [2.0] * 3}}))
+    code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", str(oracle.MAX_DIM)])
+    assert_exit_two(code, out, err, "3 displaced modes at truncation 4096 exceed the oracle")
 
 
 def test_subnormal_exponent_exits_two(tmp_path, capsys):

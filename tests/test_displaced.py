@@ -21,12 +21,9 @@ from petz_renyi.thermal import (
     d_alpha_displaced,
     d_alpha_thermal,
 )
-from petz_renyi.weyl import (
-    diagonal_divergence_witness,
-    weyl_diag,
-    weyl_diag_sequence,
-    weyl_element,
-)
+from petz_renyi.weyl import diagonal_divergence_witness
+
+from laguerre import weyl_diag, weyl_diag_sequence, weyl_element
 
 # frozen arbitrary-precision double sums (60-digit evaluation, truncation 220)
 # for r=(1,), s=(2,), u1=(1,), u2=(0,): trace argument sum

@@ -11,17 +11,12 @@ import numpy as np
 import pytest
 
 from petz_renyi import oracle
-from petz_renyi.oracle import (
-    MAX_DIM,
-    _log_entries,
-    annihilation_matrix,
-    displacement_matrix,
-    oracle_trace,
-    thermal_matrix,
-)
+from petz_renyi.oracle import MAX_DIM, _log_entries, displacement_matrix, oracle_trace
 from petz_renyi.states import DisplacedThermalSpec, ModeVector, covariance
 from petz_renyi.thermal import d_alpha_displaced, d_alpha_thermal
-from petz_renyi.weyl import weyl_diag, weyl_element
+
+from dense import annihilation_matrix, thermal_matrix
+from laguerre import weyl_diag, weyl_element
 
 
 def spec(temps, disp=None):
@@ -43,10 +38,6 @@ def test_thermal_matrix_cases():
     g = thermal_matrix(1.0, 64)
     assert g[0, 0].real == pytest.approx(1 - math.exp(-1.0), rel=1e-15)
     assert np.trace(g).real == pytest.approx(1 - math.exp(-64.0), abs=1e-15)
-    with pytest.raises(ValueError):
-        thermal_matrix(0.0, 8)
-    with pytest.raises(ValueError):
-        thermal_matrix(1.0, 1)
 
 
 def test_displacement_matrix_inverse_is_adjoint():
@@ -232,11 +223,21 @@ def test_oracle_validation():
         oracle_trace(spec([1.0], [1.0]), spec([math.inf], [0.0]), 1.5, 32)
 
 
+def test_oracle_refuses_a_table_beyond_its_bound(monkeypatch):
+    # displaced modes times n^2 above 2 MAX_DIM^2 is refused before the table
+    # is built: three displaced modes at n = 4096 would peak near 1.8 GB
+    def never(*args):
+        raise AssertionError("the oracle built its table")
+
+    monkeypatch.setattr(oracle, "_log_entries", never)
+    rho, sigma = spec([1.0] * 3, [1.0, 0.5j, -0.3]), spec([2.0] * 3)
+    with pytest.raises(ValueError, match="3 displaced modes at truncation 4096 exceed"):
+        oracle_trace(rho, sigma, 0.5, MAX_DIM)
+
+
 def test_truncation_must_be_an_integer():
     rho, displaced, sigma = spec([1.0]), spec([1.0], [1.0]), spec([2.0])
     builders = (
-        annihilation_matrix,
-        lambda n: thermal_matrix(1.0, n),
         lambda n: displacement_matrix(1.0, n),
         lambda n: oracle_trace(rho, sigma, 0.5, n),
         lambda n: oracle_trace(displaced, sigma, 1.5, n),
@@ -249,7 +250,7 @@ def test_truncation_must_be_an_integer():
     tr = oracle_trace(displaced, sigma, 1.5, np.int64(16))
     assert tr == oracle_trace(displaced, sigma, 1.5, 16)
     assert type(tr.dim) is int
-    assert annihilation_matrix(np.int32(4)).shape == (4, 4)
+    assert displacement_matrix(1.0, np.int32(4)).shape == (4, 4)
 
 
 def test_oracle_imports_no_closed_form():
