@@ -203,8 +203,11 @@ _DEFAULT_CASES = (
 def _case_from_doc(doc, path: str):
     if not isinstance(doc, dict):
         raise ValueError(f"case file {path} must be an object")
-    rho = _spec_from_doc(doc.get("rho"), path)
-    sigma = _spec_from_doc(doc.get("sigma"), path)
+    for key in ("rho", "sigma"):
+        if not isinstance(doc.get(key), dict):
+            raise ValueError(f"case file {path} needs a state object under {key!r}")
+    rho = _spec_from_doc(doc["rho"], path)
+    sigma = _spec_from_doc(doc["sigma"], path)
     alphas = doc.get("alphas", [0.5])
     if not isinstance(alphas, list) or not alphas:
         raise ValueError(f"'alphas' must be a non-empty list of orders in {path}")

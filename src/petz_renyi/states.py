@@ -32,7 +32,7 @@ def log1mexp(x: float) -> float:
     Uses ``log(-expm1(-x))`` below log 2 and ``log1p(-exp(-x))`` above, which
     keeps full relative accuracy at both ends.  Returns 0.0 for ``x = inf``.
     """
-    if x <= 0.0:
+    if not x > 0.0:  # nan too
         raise ValueError(f"log1mexp requires x > 0, got {x}")
     if math.isinf(x):
         return 0.0

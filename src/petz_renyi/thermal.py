@@ -150,21 +150,10 @@ def alpha_threshold(r: ModeVector, s: ModeVector) -> ThresholdResult:
     return _threshold_scan(r, s)
 
 
-# t is formed exactly where |t| <= _EXACT_BAND (|alpha r| + |(1-alpha) s|): far wider
-# than the float sum's few-ulp error, since log1mexp(t) needs t to full relative accuracy
-_EXACT_BAND = 2.0**-20
-# where |a + b| <= _CANCEL_BAND (|a| + |b|), a + b is exact but the errors of a and b dominate
+# where |a + b| <= _CANCEL_BAND (|a| + |b|) the rounding errors of a and b dominate t,
+# and log1mexp(t) needs t to full relative accuracy, so t is formed exactly there
 _CANCEL_BAND = 2.0**-4
 _NORMAL_MIN = sys.float_info.min
-_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
-
-
-def _product_error(x: float, y: float, p: float) -> float:
-    """The exact ``x*y - p`` for ``p = fl(x*y)`` (Dekker's TwoProduct, without fma)."""
-    cx, cy = _SPLITTER * x, _SPLITTER * y
-    xh, yh = cx - (cx - x), cy - (cy - y)
-    xl, yl = x - xh, y - yh
-    return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def _exponents(
@@ -175,12 +164,12 @@ def _exponents(
     The one finiteness decision: with support contained, ``D_alpha`` is finite
     iff no mode has ``t_j <= 0``, i.e. ``alpha < s_j/(s_j - r_j)`` wherever
     ``r_j < s_j``.  Each ``t_j`` has the exact sign, so the sign is the
-    verdict; its value is near the exact one but not always its rounding: in
-    the cancellation band ``a + b`` and the products' low parts are rounded
-    apart (about an ulp more), and from ``alpha = 2^53`` on ``1 - alpha``
-    rounds too.  A mode with a vacuum side gets ``inf``: its series has the
-    single term ``k = 0``.  Raises ``ValueError`` where an exact ``t_j`` is
-    positive but below the normal double range.
+    verdict.  ``t_j`` is formed exactly within the ``2^-4`` cancellation band,
+    below the normal range and where a product overflows, and rounded once;
+    elsewhere it is the float sum ``a + b``, a few ulps off (from ``alpha =
+    2^53`` on ``1 - alpha`` rounds too).  A mode with a vacuum side gets
+    ``inf``: its series has the single term ``k = 0``.  Raises ``ValueError``
+    where an exact ``t_j`` is positive but below the normal double range.
     """
     ts = []
     for rj, sj in zip(r, s):
@@ -191,33 +180,24 @@ def _exponents(
         b = (1.0 - alpha) * sj
         t = a + b
         # below the normal range a product rounds with absolute error, so t may
-        # have any error there, even the wrong sign
-        form_exactly = abs(t) < _NORMAL_MIN
-        if not abs(t) > _CANCEL_BAND * (abs(a) + abs(b)):  # a nan t too
-            # a + b is exact (Sterbenz); add both products' exact low parts (nan
-            # if a split overflows: the exact branch takes it)
-            t += _product_error(alpha, rj, a) + _product_error(1.0 - alpha, sj, b)
-            normal = _NORMAL_MIN <= abs(t) < math.inf
-            form_exactly = not normal or abs(t) <= _EXACT_BAND * (abs(a) + abs(b))
-        if form_exactly:
-            # doubles are dyadic rationals, so t is formed exactly, also where
-            # a product overflowed.  Imported here: inputs off the boundary never
-            # need it, and a module-level import would add milliseconds to every
-            # CLI process
-            from fractions import Fraction
-
-            fa = Fraction(alpha)
-            exact = fa * Fraction(rj) + (1 - fa) * Fraction(sj)
-            if 0 < exact < _NORMAL_MIN:
+        # have any error there, even the wrong sign; a nan t lands here too
+        if not (abs(t) > _CANCEL_BAND * (abs(a) + abs(b)) and abs(t) >= _NORMAL_MIN):
+            # doubles are dyadic rationals: t = num/den exactly, 1 - alpha included
+            an, ad = alpha.as_integer_ratio()
+            rn, rd = rj.as_integer_ratio()
+            sn, sd = sj.as_integer_ratio()
+            num = an * rn * sd + (ad - an) * sn * rd
+            den = ad * rd * sd
+            if num > 0 and num << 1022 < den:
                 j = len(ts) + 1
                 raise ValueError(
                     f"alpha*r_{j} + (1-alpha)*s_{j} at alpha = {alpha} is positive "
                     "but below the normal double range"
                 )
             try:
-                t = float(exact)
+                t = num / den  # int division rounds correctly
             except OverflowError:
-                t = math.inf if exact > 0 else -math.inf
+                t = math.inf if num > 0 else -math.inf
         ts.append(t)
     return tuple(ts), tuple(j + 1 for j, t in enumerate(ts) if t <= 0.0)
 

@@ -7,7 +7,6 @@ runtime budget.
 import json
 import math
 import time
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +24,7 @@ from petz_renyi.thermal import (
 from petz_renyi.weyl import diagonal_divergence_witness, fejer_scan, sine_interval_indices
 
 from laguerre import laguerre, weyl_diag
+from references import exact_exponents
 from test_weyl import laguerre_rational
 
 
@@ -60,12 +60,6 @@ class Gate:
         return False
 
 
-def _exact_exponents(r, s, alpha):
-    # t_j = alpha r_j + (1-alpha) s_j of the doubles given, as exact rationals
-    fa = Fraction(alpha)
-    return [fa * Fraction(float(rj)) + (1 - fa) * Fraction(float(sj)) for rj, sj in zip(r, s)]
-
-
 def _occupation(z):
     # covariance of the normalized power state at inverse temperature z, less
     # the vacuum's 1/2: coth(z/2)/2 - 1/2 = 1/(e^z - 1), which keeps the
@@ -83,7 +77,7 @@ def _check_verdict(r, s, u, alpha):
     finite = covariance_criterion(rho.temps, sigma.temps, alpha)
     witness = diagonal_divergence_witness(rho.temps, sigma.temps, list(u), alpha)
     assert finite == d_alpha_displaced(rho, sigma, alpha).entropy.finite == (witness is None)
-    ts = _exact_exponents(r, s, alpha)
+    ts = exact_exponents(r, s, alpha)
     assert finite == all(t > 0 for t in ts)
     # the theorem's covariance form: V(sigma^{alpha-1}) > V(rho^alpha) per mode
     cov_s, cov_r = covariance(list(s), alpha - 1.0), covariance(list(r), alpha)
@@ -132,7 +126,7 @@ def test_criterion_1_threshold_theorem(capsys):
         for r, s in ((1.0, 2.0), (0.5, 1.5)):
             star = s / (s - r)
             for alpha, finite in ((star, False), (math.nextafter(star, 0.0), True)):
-                assert (_exact_exponents([r], [s], alpha)[0] > 0) == finite
+                assert (exact_exponents([r], [s], alpha)[0] > 0) == finite
                 for u in (1.0, 0.0):
                     assert d_alpha_displaced(spec([r], [u]), spec([s]), alpha).entropy.finite == finite
                     assert _check_verdict([r], [s], [u], alpha)

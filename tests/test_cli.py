@@ -567,6 +567,21 @@ def test_sweep_bad_grid_exits_two(states, capsys, bounds, message):
     assert_exit_two(code, out, err, message)
 
 
+def test_validate_case_without_a_state_names_the_key(tmp_path, capsys):
+    # a missing or non-object rho or sigma is a defect of the case file, not of a state file
+    case = tmp_path / "case.json"
+    docs = (
+        ({"sigma": {"temps": [2.0]}}, "rho"),
+        ({"rho": [1.0], "sigma": {"temps": [2.0]}}, "rho"),
+        ({"rho": {"temps": [1.0]}, "sigma": None}, "sigma"),
+    )
+    for doc, key in docs:
+        case.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", "--case", str(case), "--dim", "24"])
+        assert_exit_two(code, out, err, f"case file {case} needs a state object under '{key}'")
+        assert "state file" not in err
+
+
 def test_validate_unreadable_case_exits_two(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
@@ -618,7 +633,10 @@ def test_numpy_commands_load_it_on_demand(run_fresh):
 
 
 def test_closed_form_path_loads_neither_dataclasses_nor_inspect(states, fresh_python):
-    report = "import sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # nor fractions or decimal: the exact exponent is formed with ints, even at
+    # the boundary alpha = 2 of r = 1, s = 2, where t = 0 exactly
+    loaded = "{'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)"
+    report = f"import sys; print(sorted({loaded}))"
     bare = fresh_python(report).stdout.strip()
     if bare != "[]":
         pytest.skip(f"a bare interpreter loads {bare}")
@@ -627,6 +645,7 @@ def test_closed_form_path_loads_neither_dataclasses_nor_inspect(states, fresh_py
         "from petz_renyi.cli import main\n"
         "assert main(['threshold', *sys.argv[1:]]) == 0\n"
         "assert main(['entropy', *sys.argv[1:], '--alpha', '1.5']) == 0\n"
+        "assert main(['entropy', *sys.argv[1:], '--alpha', '2']) == 0\n"
     )
     proc = fresh_python(cli + report, states["rho_disp"], states["sigma"])
     assert proc.returncode == 0, proc.stderr

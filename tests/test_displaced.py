@@ -4,7 +4,6 @@ import cmath
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,7 @@ from petz_renyi.thermal import (
 from petz_renyi.weyl import diagonal_divergence_witness
 
 from laguerre import weyl_diag, weyl_diag_sequence, weyl_element
+from references import exact_exponents
 
 # frozen arbitrary-precision double sums (60-digit evaluation, truncation 220)
 # for r=(1,), s=(2,), u1=(1,), u2=(0,): trace argument sum
@@ -486,17 +486,16 @@ orders = st.one_of(
 def expected_finite(r, s, u, alpha):
     """Finiteness verdict from support containment and alpha*, written out.
 
-    ``alpha < s_j/(s_j - r_j)`` is tested as ``alpha (s_j - r_j) < s_j`` in
-    exact rational arithmetic.
+    ``alpha < s_j/(s_j - r_j)`` is tested as ``t_j = alpha r_j + (1-alpha) s_j
+    > 0`` in exact rational arithmetic.
     """
     if alpha < 1.0:
         return True
     for rj, sj, uj in zip(r, s, u):
         if math.isinf(sj) and not (math.isinf(rj) and uj == 0):
             return False
-    fa = Fraction(alpha)
     return all(
-        fa * (Fraction(sj) - Fraction(rj)) < Fraction(sj)
+        exact_exponents([rj], [sj], alpha)[0] > 0
         for rj, sj in zip(r, s)
         if not math.isinf(rj) and not math.isinf(sj)
     )

@@ -30,6 +30,9 @@ def test_log1mexp_limits_and_errors():
         log1mexp(0.0)
     with pytest.raises(ValueError):
         log1mexp(-1.0)
+    # nan fails x > 0 too, so it is refused rather than passed through
+    with pytest.raises(ValueError, match="requires x > 0, got nan"):
+        log1mexp(math.nan)
 
 
 def test_mode_vector_validation():

@@ -1,8 +1,11 @@
 """Closed-form thermal entropy, threshold, and covariance criterion."""
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -14,6 +17,7 @@ from petz_renyi.thermal import (
     DivergenceWitness,
     ExtendedEntropy,
     SupportViolation,
+    _exponents,
     alpha_threshold,
     covariance_criterion,
     d_alpha_thermal,
@@ -21,6 +25,9 @@ from petz_renyi.thermal import (
     validate_order,
 )
 from petz_renyi.weyl import diagonal_divergence_witness
+
+import references
+from references import exact_exponents
 
 # frozen arbitrary-precision references for the closed form
 D_REF = {
@@ -262,7 +269,7 @@ def test_subnormal_exponents_decide_exactly_or_refuse():
         for alpha in (star * (1 - 1e-3), math.nextafter(star, 0), star, star * (1 + 1e-3)):
             if not alpha > 1.0:
                 continue
-            exact = Fraction(alpha) * Fraction(r) + (1 - Fraction(alpha)) * Fraction(s)
+            exact = exact_exponents([r], [s], alpha)[0]
             try:
                 got = d_alpha_thermal(ModeVector([r]), ModeVector([s]), alpha)
             except ValueError:
@@ -273,10 +280,68 @@ def test_subnormal_exponents_decide_exactly_or_refuse():
     assert refused > 0
 
 
+def test_exact_route_is_correctly_rounded():
+    # within the cancellation band, below the normal range and where a product
+    # overflows, each exponent is its exact value rounded once; a positive
+    # subnormal one is refused
+    rng = random.Random(42)
+    cases = [(r, s, 1e10) for r, s in ((1e300, 1e-300), (1e-300, 1e300), (1e300, 1e300))]
+    for _ in range(1500):
+        # both sides of alpha*, where |t| / (|a| + |b|) is about d (s - r) / 2r
+        r, s = sorted(math.exp(rng.uniform(math.log(0.01), math.log(50.0))) for _ in range(2))
+        d = 2.0 ** rng.uniform(-60, -6) * min(1.0, 2 * r / (s - r))
+        cases.append((r, s, s / (s - r) * (1 + rng.choice((-d, d)))))
+        # near-equal r > s at a large order: no threshold, but t cancels
+        cases.append((s * (1 + 2.0 ** rng.uniform(-52, -7)), s, 2.0 ** rng.uniform(7, 30)))
+        # alpha >= 2^53, where 1 - alpha is no double
+        alpha = 2.0 ** rng.uniform(53, 60)
+        cases.append((s * (1 - (1 + rng.uniform(-(2**-6), 2**-6)) / alpha), s, alpha))
+        # subnormal temperatures about alpha*
+        r, s = sorted(2.0 ** rng.uniform(-1074, -1000) for _ in range(2))
+        d = 2.0 ** rng.uniform(-60, -6) * min(1.0, 2 * r / (s - r))
+        cases.append((r, s, s / (s - r) * (1 + rng.choice((-d, d)))))
+    checked, refused = {"band": 0, "overflow": 0, "below normal": 0}, 0
+    for r, s, alpha in cases:
+        if not 1.0 < alpha < math.inf:
+            continue
+        exact = exact_exponents([r], [s], alpha)[0]
+        a, b = Fraction(alpha) * Fraction(r), (1 - Fraction(alpha)) * Fraction(s)
+        if max(abs(a), abs(b)) > sys.float_info.max:
+            where = "overflow"
+        elif abs(exact) < 2.0**-1022:
+            where = "below normal"
+        elif abs(exact) <= 2.0**-6 * (abs(a) + abs(b)):  # well inside the 2^-4 band
+            where = "band"
+        else:
+            continue
+        if 0 < exact < 2.0**-1022:
+            with pytest.raises(ValueError, match="positive but below the normal"):
+                _exponents(ModeVector([r]), ModeVector([s]), alpha)
+            refused += 1
+            continue
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = math.inf if exact > 0 else -math.inf
+        (t,), _ = _exponents(ModeVector([r]), ModeVector([s]), alpha)
+        assert t.hex() == want.hex(), (r, s, alpha)
+        checked[where] += 1
+    assert checked["band"] > 4000 and checked["overflow"] == 3
+    assert checked["below normal"] > 100 and refused > 100
+
+
+def test_references_import_nothing_from_the_package():
+    tree = ast.parse(Path(references.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "petz_renyi" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and (node.module or "").split(".")[0] != "petz_renyi"
+
+
 def exact_finite(r, s, alpha):
-    """``alpha (s_j - r_j) < s_j`` for every mode, in exact rational arithmetic."""
-    fa = Fraction(alpha)
-    return all(fa * (Fraction(sj) - Fraction(rj)) < Fraction(sj) for rj, sj in zip(r, s))
+    """Every ``t_j > 0``, i.e. ``alpha (s_j - r_j) < s_j``, in exact rational arithmetic."""
+    return all(t > 0 for t in exact_exponents(r, s, alpha))
 
 
 def mp_closed_form(r, s, alpha):
@@ -284,8 +349,7 @@ def mp_closed_form(r, s, alpha):
     with mp.workdps(60):
         a = mp.mpf(alpha)
         log_q = mp.mpf(0)
-        for rj, sj in zip(r, s):
-            t = Fraction(alpha) * Fraction(rj) + (1 - Fraction(alpha)) * Fraction(sj)
+        for rj, sj, t in zip(r, s, exact_exponents(r, s, alpha)):
             log_q += (
                 a * mp.log(-mp.expm1(-mp.mpf(rj)))
                 + (1 - a) * mp.log(-mp.expm1(-mp.mpf(sj)))
